@@ -6,11 +6,10 @@
    - simulated cycles and wall time of the Base (unreplicated) run;
    - per replication config (LC/CC x DMR/TMR): simulated cycles, the
      sync-phase overhead relative to Base (the paper's normalised
-     slowdown), wall time under the Sequential and the Parallel engine,
-     and the Sequential->Parallel wall-time speedup;
-   - a determinism bit: the two engines must agree on final cycle and
-     replica outputs, or the run is marked non-deterministic and the
-     baseline write fails.
+     slowdown), and wall time.
+
+   Every measurement is repeated [reps] times on fresh systems; cycles
+   and outputs must agree across the repetitions or the write fails.
 
    The baseline also embeds the checkpoint-capture rows of
    [Ckpt_bench]: per workload, the words copied and capture wall time
@@ -24,8 +23,7 @@
    DMA-buffer flip campaign with checking off and on), each recording
    the simulated run-phase cycles, request outcome digests, completion
    / rollback / corruption / ingress-drop / redelivery counts (all
-   exact), wall time under both engines, and the engines-agree
-   determinism bit.
+   exact) and wall time.
 
    The baseline finally embeds execution-backend rows: per exec
    workload, the wall time of the interpreter vs the block-compiled
@@ -43,7 +41,7 @@
    and a transient fault campaign that must recover through rollback
    to the fault-free output.
 
-   The result is written as JSON (schema `rcoe-bench-baseline/v6`,
+   The result is written as JSON (schema `rcoe-bench-baseline/v7`,
    documented in EXPERIMENTS.md) — commit it as BENCH_baseline.json.
 
    `dune exec bench/main.exe -- baseline-check [PATH]` re-measures and
@@ -52,22 +50,18 @@
    - any simulated cycle count differs (the simulator is deterministic,
      so any drift is a real semantic change — regenerate the baseline
      deliberately if it is intentional);
-   - either engine's wall time regresses by more than 10% on a workload
-     aggregate (tolerance via RCOE_BENCH_TOLERANCE, a float, e.g. 0.25
-     on noisy shared hardware);
+   - the wall time regresses by more than 10% on a workload aggregate
+     (tolerance via RCOE_BENCH_TOLERANCE, a float, e.g. 0.25 on noisy
+     shared hardware);
    - a checkpoint row drifts: copied words or charged ckpt.cost_cycles
      differ at all, or the incremental capture wall time regresses by
      more than the same tolerance;
    - a serve row drifts: simulated cycles, outcome digest, completion
-     or rollback counts differ at all, or either engine's wall time
-     regresses beyond the tolerance;
-   - the engines disagree (determinism failure — never tolerated).
+     or rollback counts differ at all, or its wall time regresses
+     beyond the tolerance.
 
    Wall times are host-dependent: regenerate the baseline when moving
-   to different hardware. Speedup expectations are conditioned on the
-   recorded `host.cores`: on a single-core host the parallel engine
-   cannot beat the sequential one (domain scheduling overhead makes it
-   slower) and only the determinism contract is meaningful. *)
+   to different hardware. *)
 
 open Rcoe_core
 open Rcoe_workloads
@@ -81,8 +75,7 @@ let max_cycles = 400_000_000
 type wl = { wname : string; program : unit -> Rcoe_isa.Program.t }
 
 (* Sized so a replicated run is long enough to time meaningfully but
-   the full baseline stays in tens of seconds. md5sum is the
-   compute-bound workload the speedup acceptance criterion refers to. *)
+   the full baseline stays in tens of seconds. *)
 let workloads =
   [
     {
@@ -112,12 +105,11 @@ let config_label mode n =
   Printf.sprintf "%s-%s" (Config.mode_to_string mode)
     (match n with 2 -> "DMR" | 3 -> "TMR" | n -> string_of_int n ^ "R")
 
-let mk_config ?(exec_backend = Config.Interp) ~mode ~nreplicas ~engine () =
+let mk_config ?(exec_backend = Config.Interp) ~mode ~nreplicas () =
   {
     (Runner.config_for ~mode ~nreplicas ~arch:Rcoe_machine.Arch.X86 ~seed:3 ())
     with
-    Config.engine;
-    exec_backend;
+    Config.exec_backend;
     exception_barriers = mode <> Config.Base;
   }
 
@@ -126,8 +118,8 @@ type measurement = { m_cycles : int; m_wall : float; m_out : string list }
 (* Median-of-[reps] wall time over fresh systems; cycle count and
    outputs must agree across reps (they always do — the simulator is
    deterministic — but check rather than assume). *)
-let measure ?exec_backend ~mode ~nreplicas ~engine wl =
-  let config = mk_config ?exec_backend ~mode ~nreplicas ~engine () in
+let measure ?exec_backend ~mode ~nreplicas wl =
+  let config = mk_config ?exec_backend ~mode ~nreplicas () in
   let one () =
     let sys = System.create ~config ~program:(wl.program ()) in
     let t0 = Unix.gettimeofday () in
@@ -159,9 +151,6 @@ type cfg_row = {
   c_cycles : int;
   c_overhead : float;  (* (cycles - base_cycles) / base_cycles *)
   c_wall_seq : float;
-  c_wall_par : float;
-  c_speedup : float;  (* wall_seq / wall_par *)
-  c_deterministic : bool;
 }
 
 type wl_row = {
@@ -173,15 +162,12 @@ type wl_row = {
 
 let measure_workload wl =
   Printf.printf "  %-10s base%!" wl.wname;
-  let base =
-    measure ~mode:Config.Base ~nreplicas:1 ~engine:Config.Sequential wl
-  in
+  let base = measure ~mode:Config.Base ~nreplicas:1 wl in
   let rows =
     List.map
       (fun (mode, n) ->
         Printf.printf " %s%!" (config_label mode n);
-        let seq = measure ~mode ~nreplicas:n ~engine:Config.Sequential wl in
-        let par = measure ~mode ~nreplicas:n ~engine:Config.Parallel wl in
+        let seq = measure ~mode ~nreplicas:n wl in
         {
           c_label = config_label mode n;
           c_mode = mode;
@@ -191,10 +177,6 @@ let measure_workload wl =
             float_of_int (seq.m_cycles - base.m_cycles)
             /. float_of_int base.m_cycles;
           c_wall_seq = seq.m_wall;
-          c_wall_par = par.m_wall;
-          c_speedup = seq.m_wall /. par.m_wall;
-          c_deterministic =
-            seq.m_cycles = par.m_cycles && seq.m_out = par.m_out;
         })
       configs
   in
@@ -218,8 +200,6 @@ type serve_row = {
   s_dropped : int;  (* corrupt frames dropped/NACKed — exact *)
   s_redelivered : int;  (* dropped frames redelivered by client — exact *)
   s_wall_seq : float;
-  s_wall_par : float;
-  s_deterministic : bool;
 }
 
 let serve_records = 64
@@ -257,7 +237,7 @@ let serve_cases =
     ("serve-dma-recover", true, Some dma_fault);
   ]
 
-let serve_config ~engine ~ingress ~fault =
+let serve_config ~ingress ~fault =
   let rollback_fault =
     match fault with
     | Some { Loadgen.fault_target = Loadgen.Sig_word; _ } -> true
@@ -267,19 +247,18 @@ let serve_config ~engine ~ingress ~fault =
     (Runner.config_for ~mode:Config.CC ~nreplicas:2
        ~arch:Rcoe_machine.Arch.X86 ~with_net:true ~seed:5 ())
     with
-    Config.engine;
-    exception_barriers = true;
+    Config.exception_barriers = true;
     ingress_check = ingress;
     checkpoint_every = (if rollback_fault then 2 else 0);
     max_rollbacks = 3;
   }
 
-let measure_serve_engine ~engine ~ingress ~fault =
+let measure_serve_case ~ingress ~fault =
   let one () =
     let t0 = Unix.gettimeofday () in
     let r =
       Loadgen.run
-        ~config:(serve_config ~engine ~ingress ~fault)
+        ~config:(serve_config ~ingress ~fault)
         ~workload:Ycsb.A ~records:serve_records ~requests:serve_requests
         ~chunk:serve_chunk ?fault ()
     in
@@ -305,12 +284,7 @@ let measure_serve () =
     List.map
       (fun (name, ingress, fault) ->
         Printf.printf " %s%!" name;
-        let seq, wall_seq =
-          measure_serve_engine ~engine:Config.Sequential ~ingress ~fault
-        in
-        let par, wall_par =
-          measure_serve_engine ~engine:Config.Parallel ~ingress ~fault
-        in
+        let seq, wall_seq = measure_serve_case ~ingress ~fault in
         {
           s_name = name;
           s_ingress = ingress;
@@ -325,26 +299,10 @@ let measure_serve () =
           s_dropped = seq.Loadgen.ingress_dropped;
           s_redelivered = seq.Loadgen.redelivered;
           s_wall_seq = wall_seq;
-          s_wall_par = wall_par;
-          s_deterministic =
-            seq.Loadgen.outcome_digest = par.Loadgen.outcome_digest
-            && seq.Loadgen.end_sigs = par.Loadgen.end_sigs
-            && System.now seq.Loadgen.sys = System.now par.Loadgen.sys
-            && seq.Loadgen.ingress_dropped = par.Loadgen.ingress_dropped;
         })
       serve_cases
   in
   print_newline ();
-  let broken = List.filter (fun s -> not s.s_deterministic) rows in
-  if broken <> [] then begin
-    List.iter
-      (fun s ->
-        Printf.eprintf
-          "baseline: DETERMINISM FAILURE: %s: parallel != sequential\n"
-          s.s_name)
-      broken;
-    exit 1
-  end;
   (* Cross-row campaign contract: the same DMA-buffer flip must be
      client-visible with checking off and absorbed with it on — with
      the post-recovery outcome log (order-insensitive) matching the
@@ -391,8 +349,7 @@ let print_serve_table rows =
     Rcoe_util.Table.create
       ~headers:
         [ "serve"; "ingress"; "cycles"; "completed"; "rollbacks";
-          "corrupted"; "dropped"; "redeliv"; "seq wall"; "par wall";
-          "deterministic" ]
+          "corrupted"; "dropped"; "redeliv"; "wall" ]
   in
   List.iter
     (fun s ->
@@ -404,8 +361,6 @@ let print_serve_table rows =
           string_of_int s.s_rollbacks; string_of_int s.s_corrupted;
           string_of_int s.s_dropped; string_of_int s.s_redelivered;
           Printf.sprintf "%.3fs" s.s_wall_seq;
-          Printf.sprintf "%.3fs" s.s_wall_par;
-          (if s.s_deterministic then "yes" else "NO");
         ])
     rows;
   Rcoe_util.Table.print t
@@ -434,8 +389,6 @@ let serve_json rows =
               ("ingress_dropped", Json.Int s.s_dropped);
               ("redelivered", Json.Int s.s_redelivered);
               ("wall_seq_s", Json.Float s.s_wall_seq);
-              ("wall_par_s", Json.Float s.s_wall_par);
-              ("deterministic", Json.Bool s.s_deterministic);
             ]
            @
            match (s.s_name, closed_cycles) with
@@ -521,11 +474,11 @@ let measure_exec () =
         Printf.printf " %s%!" wl.wname;
         let interp =
           measure ~exec_backend:Config.Interp ~mode:Config.Base ~nreplicas:1
-            ~engine:Config.Sequential wl
+            wl
         in
         let blocks =
           measure ~exec_backend:Config.Blocks ~mode:Config.Base ~nreplicas:1
-            ~engine:Config.Sequential wl
+            wl
         in
         {
           x_name = wl.wname;
@@ -728,10 +681,10 @@ let measure_replay () =
       (fun wl ->
         Printf.printf " %s%!" wl.wname;
         let base =
-          measure ~mode:Config.Base ~nreplicas:1 ~engine:Config.Sequential wl
+          measure ~mode:Config.Base ~nreplicas:1 wl
         in
         let dmr =
-          measure ~mode:Config.CC ~nreplicas:2 ~engine:Config.Sequential wl
+          measure ~mode:Config.CC ~nreplicas:2 wl
         in
         let interp, wall_interp =
           measure_replay_engine ~backend:Config.Interp wl
@@ -888,7 +841,7 @@ let host_json () =
 let to_json rows ckpt_rows serve_rows exec_rows replay_rows =
   Json.Obj
     [
-      ("schema", Json.String "rcoe-bench-baseline/v6");
+      ("schema", Json.String "rcoe-bench-baseline/v7");
       ("host", host_json ());
       ("reps", Json.Int reps);
       ("ckpt", Ckpt_bench.to_json ckpt_rows);
@@ -922,9 +875,6 @@ let to_json rows ckpt_rows serve_rows exec_rows replay_rows =
                                 ("cycles", Json.Int c.c_cycles);
                                 ("sync_overhead", Json.Float c.c_overhead);
                                 ("wall_seq_s", Json.Float c.c_wall_seq);
-                                ("wall_par_s", Json.Float c.c_wall_par);
-                                ("speedup", Json.Float c.c_speedup);
-                                ("deterministic", Json.Bool c.c_deterministic);
                               ])
                           r.r_configs) );
                  ])
@@ -935,14 +885,13 @@ let print_table rows =
   let t =
     Rcoe_util.Table.create
       ~headers:
-        [ "workload"; "config"; "cycles"; "overhead"; "seq wall";
-          "par wall"; "speedup"; "deterministic" ]
+        [ "workload"; "config"; "cycles"; "overhead"; "wall" ]
   in
   List.iter
     (fun r ->
       Rcoe_util.Table.add_row t
         [ r.r_name; "Base"; string_of_int r.r_base_cycles; "-";
-          Printf.sprintf "%.3fs" r.r_base_wall; "-"; "-"; "-" ];
+          Printf.sprintf "%.3fs" r.r_base_wall ];
       List.iter
         (fun c ->
           Rcoe_util.Table.add_row t
@@ -950,9 +899,6 @@ let print_table rows =
               r.r_name; c.c_label; string_of_int c.c_cycles;
               Printf.sprintf "%+.0f%%" (100. *. c.c_overhead);
               Printf.sprintf "%.3fs" c.c_wall_seq;
-              Printf.sprintf "%.3fs" c.c_wall_par;
-              Printf.sprintf "%.2fx" c.c_speedup;
-              (if c.c_deterministic then "yes" else "NO");
             ])
         r.r_configs)
     rows;
@@ -964,23 +910,6 @@ let measure_all () =
     (Domain.recommended_domain_count ());
   let rows = List.map measure_workload workloads in
   print_table rows;
-  let broken =
-    List.concat_map
-      (fun r ->
-        List.filter_map
-          (fun c ->
-            if c.c_deterministic then None else Some (r.r_name, c.c_label))
-          r.r_configs)
-      rows
-  in
-  if broken <> [] then begin
-    List.iter
-      (fun (w, c) ->
-        Printf.eprintf
-          "baseline: DETERMINISM FAILURE: %s %s: parallel != sequential\n" w c)
-      broken;
-    exit 1
-  end;
   rows
 
 let write ?(path = default_path) () =
@@ -1081,12 +1010,12 @@ let check ?(path = default_path) () =
         exit 1
   in
   (match jstring (jmember "schema" committed) with
-  | "rcoe-bench-baseline/v6" -> ()
+  | "rcoe-bench-baseline/v7" -> ()
   | "rcoe-bench-baseline/v2" | "rcoe-bench-baseline/v3"
-  | "rcoe-bench-baseline/v4" | "rcoe-bench-baseline/v5" ->
+  | "rcoe-bench-baseline/v4" | "rcoe-bench-baseline/v5"
+  | "rcoe-bench-baseline/v6" ->
       Printf.eprintf
-        "baseline-check: %s uses a pre-replay schema (no replay-detection \
-         rows)\n\
+        "baseline-check: %s uses an older schema\n\
          regenerate with `dune exec bench/main.exe -- baseline`\n"
         path;
       exit 1
@@ -1130,17 +1059,12 @@ let check ?(path = default_path) () =
                     fail "%s %s: cycles %d != committed %d" r.r_name c.c_label
                       c.c_cycles
                       (jint (jmember "cycles" cj));
-                  let wall_check what fresh_w committed_w =
-                    if fresh_w > committed_w *. (1. +. tol) then
-                      fail "%s %s: %s wall time %.3fs regressed >%.0f%% over \
-                            committed %.3fs"
-                        r.r_name c.c_label what fresh_w (100. *. tol)
-                        committed_w
-                  in
-                  wall_check "sequential" c.c_wall_seq
-                    (jfloat (jmember "wall_seq_s" cj));
-                  wall_check "parallel" c.c_wall_par
-                    (jfloat (jmember "wall_par_s" cj)))
+                  let committed_w = jfloat (jmember "wall_seq_s" cj) in
+                  if c.c_wall_seq > committed_w *. (1. +. tol) then
+                    fail "%s %s: wall time %.3fs regressed >%.0f%% over \
+                          committed %.3fs"
+                      r.r_name c.c_label c.c_wall_seq (100. *. tol)
+                      committed_w)
             r.r_configs)
     fresh;
   (* Checkpoint-capture rows: simulated quantities exactly. The wall
@@ -1224,16 +1148,12 @@ let check ?(path = default_path) () =
             (jint (jmember "ingress_dropped" j));
           exact "redelivered" s.s_redelivered
             (jint (jmember "redelivered" j));
-          let wall_check what fresh_w committed_w =
-            if fresh_w > committed_w *. (1. +. tol) then
-              fail
-                "serve %s: %s wall time %.3fs regressed >%.0f%% over \
-                 committed %.3fs"
-                s.s_name what fresh_w (100. *. tol) committed_w
-          in
-          wall_check "sequential" s.s_wall_seq
-            (jfloat (jmember "wall_seq_s" j));
-          wall_check "parallel" s.s_wall_par (jfloat (jmember "wall_par_s" j)))
+          let committed_w = jfloat (jmember "wall_seq_s" j) in
+          if s.s_wall_seq > committed_w *. (1. +. tol) then
+            fail
+              "serve %s: wall time %.3fs regressed >%.0f%% over committed \
+               %.3fs"
+              s.s_name s.s_wall_seq (100. *. tol) committed_w)
     fresh_serve;
   (* Execution-backend rows: cycles must match the committed baseline
      exactly (and [measure_exec] has already verified Blocks == Interp

@@ -102,13 +102,6 @@ let checkpoint_mode_arg =
                  capture, or only the pages dirtied since the previous \
                  one (restores are bit-for-bit identical)")
 
-let parallel_arg =
-  Arg.(value & flag
-       & info [ "parallel" ]
-           ~doc:"execute replicas on separate host domains between sync \
-                 points (bit-for-bit identical to the sequential engine; \
-                 implies exception barriers under replication)")
-
 let exec_backend_arg =
   let backend_conv =
     Arg.enum [ ("interp", Config.Interp); ("blocks", Config.Blocks) ]
@@ -155,9 +148,8 @@ let replay_checkers_arg =
            ~doc:"checker domains replaying chunks concurrently")
 
 (* Rewrite a configuration for replay detection: the primary is an
-   unreplicated Base-mode system on the sequential engine (validation
-   enforces all three), and the round-cadence checkpoint ring is owned
-   by the chunk cuts. *)
+   unreplicated Base-mode system (validation enforces both), and the
+   round-cadence checkpoint ring is owned by the chunk cuts. *)
 let apply_detection ~detection ~replay_chunk_ticks ~replay_queue_depth
     ~replay_checkers config =
   if detection <> Config.Replay then config
@@ -171,21 +163,12 @@ let apply_detection ~detection ~replay_chunk_ticks ~replay_queue_depth
       Config.detection = Config.Replay;
       mode = Config.Base;
       nreplicas = 1;
-      engine = Config.Sequential;
       checkpoint_every = 0;
       replay_chunk_ticks;
       replay_queue_depth;
       replay_checkers;
       max_rollbacks = max 1 config.Config.max_rollbacks;
     }
-  end
-
-let reject_parallel_under_replay ~detection ~parallel =
-  if detection = Config.Replay && parallel then begin
-    Printf.eprintf
-      "parallel:   rejected: replay detection owns the checker domains \
-       (the primary itself is sequential)\n";
-    exit 1
   end
 
 let print_replay_summary sys =
@@ -200,47 +183,6 @@ let print_replay_summary sys =
     (c "replay.chunks_verified")
     (c "replay.mismatches")
     (List.length (System.rollbacks sys))
-
-(* Switch a configuration to the parallel engine, or explain — in the
-   style of a lint finding — why this configuration cannot hold the
-   engine's determinism contract, and exit non-zero. Networked
-   configurations are eligible only with a footprint proof over the
-   actual guest [program]: pass the one the run will assemble and the
-   analyzer's verdict (with instruction-address provenance on
-   rejection) decides. *)
-let apply_engine ?program ~parallel config =
-  if not parallel then config
-  else
-    let config =
-      {
-        config with
-        Config.engine = Config.Parallel;
-        exception_barriers =
-          config.Config.exception_barriers
-          || config.Config.mode <> Config.Base;
-      }
-    in
-    let elig =
-      match program with
-      | Some p when config.Config.with_net ->
-          Some (Eligibility.check ~config ~program:p)
-      | _ -> None
-    in
-    let net_ok =
-      match elig with Some e -> Eligibility.eligible e | None -> false
-    in
-    match Config.parallel_ineligibility ~net_ok config with
-    | None -> config
-    | Some reason ->
-        Printf.eprintf "parallel:   rejected: %s\n" reason;
-        (match elig with
-        | Some e when not (Eligibility.eligible e) ->
-            List.iter
-              (fun d ->
-                Printf.eprintf "parallel:     %s\n" d.Eligibility.d_message)
-              (Eligibility.diags e)
-        | _ -> ());
-        exit 1
 
 let mk_config ?(fast_catchup = false) ?(masking = false) ?(checkpoint_every = 0)
     ?(checkpoint_mode = Config.Incremental) ?(max_rollbacks = 3)
@@ -285,23 +227,21 @@ let run_cmd =
                    histograms) after the run")
   in
   let run wl mode n arch vm level seed fast_catchup checkpoint_every
-      checkpoint_mode max_rollbacks parallel exec_backend detection
+      checkpoint_mode max_rollbacks exec_backend detection
       replay_chunk_ticks replay_queue_depth replay_checkers strict_lint
       metrics =
-    reject_parallel_under_replay ~detection ~parallel;
     let branch_count = Wl.branch_count_for arch in
     let program = program_of_name wl ~branch_count in
     let config =
       apply_detection ~detection ~replay_chunk_ticks ~replay_queue_depth
         ~replay_checkers
-        (apply_engine ~program ~parallel
-           {
-             (mk_config ~fast_catchup ~checkpoint_every ~checkpoint_mode
-                ~max_rollbacks ~exec_backend mode n arch vm level seed
-                ~with_net:false)
-             with
-             Config.strict_lint;
-           })
+        {
+          (mk_config ~fast_catchup ~checkpoint_every ~checkpoint_mode
+             ~max_rollbacks ~exec_backend mode n arch vm level seed
+             ~with_net:false)
+          with
+          Config.strict_lint;
+        }
     in
     let r = Runner.run_program ~config ~program () in
     List.iter
@@ -322,8 +262,7 @@ let run_cmd =
       (Rcoe_machine.Arch.to_string arch)
       (if vm then " (VM)" else "")
       (Config.sync_level_to_string level);
-    Printf.printf "engine:     %s, %s backend\n"
-      (Config.engine_to_string config.Config.engine)
+    Printf.printf "backend:    %s\n"
       (Config.exec_backend_to_string config.Config.exec_backend);
     Printf.printf "finished:   %b\n" r.Runner.finished;
     (match r.Runner.halted with
@@ -354,8 +293,8 @@ let run_cmd =
     Term.(
       const run $ wl_arg $ mode_arg $ replicas_arg $ arch_arg $ vm_arg
       $ level_arg $ seed_arg $ fast_catchup_arg $ checkpoint_every_arg
-      $ checkpoint_mode_arg $ max_rollbacks_arg $ parallel_arg
-      $ exec_backend_arg $ detection_arg $ replay_chunk_ticks_arg
+      $ checkpoint_mode_arg $ max_rollbacks_arg $ exec_backend_arg
+      $ detection_arg $ replay_chunk_ticks_arg
       $ replay_queue_depth_arg $ replay_checkers_arg $ strict_lint_arg
       $ metrics_arg)
 
@@ -375,16 +314,10 @@ let kv_cmd =
          & info [ "masking" ]
              ~doc:"enable TMR->DMR error masking (requires -n 3)")
   in
-  let run mode n arch level seed wl records operations masking parallel
-      exec_backend =
-    let base =
+  let run mode n arch level seed wl records operations masking exec_backend =
+    let config =
       mk_config ~masking ~exec_backend mode n arch false level seed
         ~with_net:true
-    in
-    let config =
-      apply_engine ~parallel
-        ~program:(Kv_run.program_for ~config:base ~records ~operations)
-        base
     in
     let res =
       Kv_run.run ~config ~workload:(Ycsb.workload_of_string wl) ~records
@@ -396,14 +329,6 @@ let kv_cmd =
       (Rcoe_machine.Arch.to_string arch)
       (Config.sync_level_to_string level)
       wl;
-    Printf.printf "engine:      %s\n"
-      (Config.engine_to_string config.Config.engine);
-    (match System.eligibility res.Kv_run.sys with
-    | Some e ->
-        Printf.printf "analyzer:    %s\n"
-          (if Eligibility.eligible e then "parallel-eligible"
-           else "parallel-ineligible")
-    | None -> ());
     Printf.printf "throughput:  %.1f kops/s (run phase: %d ops, %d cycles)\n"
       res.Kv_run.kops_per_sec res.Kv_run.ops_completed res.Kv_run.elapsed_cycles;
     Printf.printf "client:      %d issued, %d completed, %d corrupted, %d errors\n"
@@ -415,8 +340,7 @@ let kv_cmd =
   Cmd.v (Cmd.info "kv" ~doc)
     Term.(
       const run $ mode_arg $ replicas_arg $ arch_arg $ level_arg $ seed_arg
-      $ ycsb_arg $ records_arg $ ops_arg $ masking_arg $ parallel_arg
-      $ exec_backend_arg)
+      $ ycsb_arg $ records_arg $ ops_arg $ masking_arg $ exec_backend_arg)
 
 let trace_cmd =
   let doc =
@@ -444,29 +368,28 @@ let trace_cmd =
                    and contains trace events")
   in
   let run wl mode n arch vm level seed fast_catchup checkpoint_every
-      checkpoint_mode max_rollbacks parallel exec_backend out capacity check =
+      checkpoint_mode max_rollbacks exec_backend out capacity check =
     (* Replicated modes need at least a DMR pair; bump silently so
        `trace -w whetstone --mode cc` works without an explicit -n. *)
     let n = if mode = Config.Base then max 1 n else max 2 n in
     let with_net = String.equal wl "kvstore" in
     let records = 48 and operations = 96 in
-    let base =
-      mk_config ~fast_catchup ~checkpoint_every ~checkpoint_mode ~max_rollbacks
-        ~exec_backend mode n arch vm level seed ~with_net
-    in
-    let program =
-      if with_net then Kv_run.program_for ~config:base ~records ~operations
-      else program_of_name wl ~branch_count:(Wl.branch_count_for arch)
-    in
     let config =
-      apply_engine ~program ~parallel
-        { base with Config.trace = Some { Rcoe_obs.Trace.capacity } }
+      {
+        (mk_config ~fast_catchup ~checkpoint_every ~checkpoint_mode
+           ~max_rollbacks ~exec_backend mode n arch vm level seed ~with_net)
+        with
+        Config.trace = Some { Rcoe_obs.Trace.capacity };
+      }
     in
     let sys =
       if with_net then
         let res = Kv_run.run ~config ~workload:Ycsb.A ~records ~operations () in
         res.Kv_run.sys
       else
+        let program =
+          program_of_name wl ~branch_count:(Wl.branch_count_for arch)
+        in
         let r = Runner.run_program ~config ~program () in
         r.Runner.sys
     in
@@ -517,8 +440,8 @@ let trace_cmd =
     Term.(
       const run $ wl_arg $ mode_arg $ replicas_arg $ arch_arg $ vm_arg
       $ level_arg $ seed_arg $ fast_catchup_arg $ checkpoint_every_arg
-      $ checkpoint_mode_arg $ max_rollbacks_arg $ parallel_arg
-      $ exec_backend_arg $ out_arg $ capacity_arg $ check_arg)
+      $ checkpoint_mode_arg $ max_rollbacks_arg $ exec_backend_arg $ out_arg
+      $ capacity_arg $ check_arg)
 
 let serve_cmd =
   let doc =
@@ -598,30 +521,22 @@ let serve_cmd =
   let check_arg =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"run the same serve on both engines and fail unless \
-                   the request outcome logs, end-state signatures and \
-                   cycle counts are bit-for-bit identical")
+             ~doc:"run the same serve on the interp and blocks backends \
+                   and fail unless the request outcome logs, end-state \
+                   signatures and cycle counts are bit-for-bit identical")
   in
   let chunk_arg =
     Arg.(value & opt int 400
          & info [ "chunk" ]
              ~doc:"harness poll granularity in cycles (drain/top-up \
                    period); larger chunks amortise per-call engine \
-                   overhead on the parallel engine")
+                   overhead")
   in
   let run mode n arch level seed wl records requests window open_rate max_queue
       checkpoint_every checkpoint_mode max_rollbacks fault fault_after
-      fault_bit fault_target ingress_check parallel exec_backend detection
+      fault_bit fault_target ingress_check exec_backend detection
       replay_chunk_ticks replay_queue_depth replay_checkers json_out
       trace_out check chunk =
-    reject_parallel_under_replay ~detection ~parallel;
-    if detection = Config.Replay && check then begin
-      Printf.eprintf
-        "check:      rejected: --check compares the two lockstep engines; \
-         for the replay-detection determinism pair use `dune build \
-         @replay-diff`\n";
-      exit 1
-    end;
     let n = if mode = Config.Base then max 1 n else max 2 n in
     let workload = Ycsb.workload_of_string wl in
     let pacing =
@@ -727,18 +642,16 @@ let serve_cmd =
           Printf.printf "halted:     %s\n" (System.halt_reason_to_string h)
       | None -> ()
     in
-    let emit_artifacts (r : Loadgen.result) ~engine =
+    let emit_artifacts (r : Loadgen.result) =
       (match json_out with
       | Some "-" ->
-          print_endline
-            (Rcoe_obs.Json.to_string (Loadgen.report_json r ~engine))
+          print_endline (Rcoe_obs.Json.to_string (Loadgen.report_json r))
       | Some path ->
           let oc = open_out path in
           Fun.protect
             ~finally:(fun () -> close_out oc)
             (fun () ->
-              output_string oc
-                (Rcoe_obs.Json.to_string (Loadgen.report_json r ~engine)));
+              output_string oc (Rcoe_obs.Json.to_string (Loadgen.report_json r)));
           Printf.printf "wrote:      %s\n" path
       | None -> ());
       match trace_out with
@@ -760,45 +673,38 @@ let serve_cmd =
       | Loadgen.Open { interval; _ } ->
           Printf.sprintf "open 1/%d cycles" interval);
     if check then begin
-      let program =
-        Loadgen.program_for ~config:base ~workload ~records ~requests
-      in
-      let par_cfg = apply_engine ~program ~parallel:true base in
-      let seq_res = serve base in
-      let par_res = serve par_cfg in
-      print_summary "sequential" seq_res;
-      print_summary "parallel" par_res;
-      print_detail seq_res;
+      (* The interpreter is the oracle; the block-compiled backend must
+         match it request for request and cycle for cycle. *)
+      let interp_res = serve { base with Config.exec_backend = Config.Interp } in
+      let blocks_res = serve { base with Config.exec_backend = Config.Blocks } in
+      print_summary "interp" interp_res;
+      print_summary "blocks" blocks_res;
+      print_detail interp_res;
       let fail = ref [] in
-      if seq_res.Loadgen.outcome_log <> par_res.Loadgen.outcome_log then
+      if interp_res.Loadgen.outcome_log <> blocks_res.Loadgen.outcome_log then
         fail :=
           Printf.sprintf "outcome logs differ (digest %08x vs %08x)"
-            seq_res.Loadgen.outcome_digest par_res.Loadgen.outcome_digest
+            interp_res.Loadgen.outcome_digest blocks_res.Loadgen.outcome_digest
           :: !fail;
-      if seq_res.Loadgen.end_sigs <> par_res.Loadgen.end_sigs then
+      if interp_res.Loadgen.end_sigs <> blocks_res.Loadgen.end_sigs then
         fail := "end-state signatures differ" :: !fail;
-      if
-        System.now seq_res.Loadgen.sys <> System.now par_res.Loadgen.sys
+      if System.now interp_res.Loadgen.sys <> System.now blocks_res.Loadgen.sys
       then fail := "cycle counts differ" :: !fail;
-      emit_artifacts seq_res ~engine:"sequential";
+      emit_artifacts interp_res;
       match !fail with
       | [] ->
-          Printf.printf "check:      ok (%d outcomes identical across engines)\n"
-            (List.length seq_res.Loadgen.outcome_log)
+          Printf.printf
+            "check:      ok (%d outcomes identical across backends)\n"
+            (List.length interp_res.Loadgen.outcome_log)
       | msgs ->
           List.iter (fun m -> Printf.eprintf "check:      DIVERGED: %s\n" m) msgs;
           exit 1
     end
     else begin
-      let config =
-        apply_engine
-          ~program:(Loadgen.program_for ~config:base ~workload ~records ~requests)
-          ~parallel base
-      in
-      let res = serve config in
-      print_summary (Config.engine_to_string config.Config.engine) res;
+      let res = serve base in
+      print_summary (Config.exec_backend_to_string base.Config.exec_backend) res;
       print_detail res;
-      emit_artifacts res ~engine:(Config.engine_to_string config.Config.engine)
+      emit_artifacts res
     end
   in
   Cmd.v (Cmd.info "serve" ~doc)
@@ -807,7 +713,7 @@ let serve_cmd =
       $ ycsb_arg $ records_arg $ requests_arg $ window_arg $ open_rate_arg
       $ max_queue_arg $ checkpoint_every_arg $ checkpoint_mode_arg
       $ max_rollbacks_arg $ fault_arg $ fault_after_arg $ fault_bit_arg
-      $ fault_target_arg $ ingress_check_arg $ parallel_arg $ exec_backend_arg
+      $ fault_target_arg $ ingress_check_arg $ exec_backend_arg
       $ detection_arg $ replay_chunk_ticks_arg $ replay_queue_depth_arg
       $ replay_checkers_arg $ json_arg $ trace_out_arg $ check_arg $ chunk_arg)
 
@@ -863,31 +769,10 @@ let disasm_cmd =
   in
   Cmd.v (Cmd.info "disasm" ~doc) Term.(const run $ wl_arg $ counted_arg)
 
-(* Parallel-eligibility verdicts for the lint front end: every workload
-   is judged as the guest of a networked configuration under each
-   coupling mode — exactly what decides whether `--parallel` would
-   admit it (see [Eligibility]). The CC/LC verdicts can differ because
-   the analyzer models the `get_info` driver-mode constant and prunes
-   the path the mode never takes. *)
-let elig_modes = [ ("cc", Config.CC); ("lc", Config.LC); ("base", Config.Base) ]
-
-let elig_config ?(ingress_check = false) mode =
-  {
-    Config.default with
-    Config.mode;
-    nreplicas = (if mode = Config.Base then 1 else 2);
-    with_net = true;
-    exception_barriers = true;
-    ingress_check;
-  }
-
-let eligibility_of ?ingress_check program mode =
-  Eligibility.check ~config:(elig_config ?ingress_check mode) ~program
-
 let lint_cmd =
   let doc =
     "statically analyze workloads for replication safety (LC_safe / \
-     CC_required / Rejected) and parallel-engine eligibility"
+     CC_required / Rejected)"
   in
   let wl_arg =
     Arg.(value & opt (some string) None
@@ -907,8 +792,8 @@ let lint_cmd =
     Arg.(value & flag
          & info [ "sweep" ]
              ~doc:"one deterministic line per bundled workload: lint \
-                   verdicts plus per-mode parallel-eligibility — the \
-                   format the @lint-sweep expectations file pins")
+                   verdicts and finding counts — the format the \
+                   @lint-sweep expectations file pins")
   in
   let verdict_str r =
     Rcoe_isa.Lint.verdict_to_string r.Rcoe_isa.Lint.verdict
@@ -933,29 +818,6 @@ let lint_cmd =
         ("message", Rcoe_obs.Json.String f.Rcoe_isa.Lint.f_message);
       ]
   in
-  (* Timing ([host_us]) is deliberately excluded: the JSON report, like
-     the sweep lines, is bit-reproducible for a given build. *)
-  let json_of_elig e =
-    Rcoe_obs.Json.Obj
-      [
-        ("eligible", Rcoe_obs.Json.Bool (Eligibility.eligible e));
-        ("accesses", Rcoe_obs.Json.Int e.Eligibility.n_accesses);
-        ("rounds", Rcoe_obs.Json.Int e.Eligibility.rounds);
-        ( "diagnostics",
-          Rcoe_obs.Json.List
-            (List.map
-               (fun d ->
-                 Rcoe_obs.Json.Obj
-                   [
-                     ( "addr",
-                       match d.Eligibility.d_addr with
-                       | Some a -> Rcoe_obs.Json.Int a
-                       | None -> Rcoe_obs.Json.Null );
-                     ("message", Rcoe_obs.Json.String d.Eligibility.d_message);
-                   ])
-               (Eligibility.diags e)) );
-      ]
-  in
   let json_of_workload name counted =
     let program = lintable_program name ~branch_count:counted in
     let r = analyze_program program in
@@ -968,18 +830,7 @@ let lint_cmd =
           ( "findings",
             Rcoe_obs.Json.List
               (List.map json_of_finding r.Rcoe_isa.Lint.findings) );
-          ( "parallel_eligibility",
-            Rcoe_obs.Json.Obj
-              (List.map
-                 (fun (label, mode) ->
-                   (label, json_of_elig (eligibility_of program mode)))
-                 elig_modes) );
         ] )
-  in
-  let elig_label e =
-    if Eligibility.eligible e then "eligible"
-    else
-      Printf.sprintf "ineligible:%d" (List.length (Eligibility.diags e))
   in
   let lint_one name counted =
     let program = lintable_program name ~branch_count:counted in
@@ -1015,33 +866,13 @@ let lint_cmd =
               ])
           fs;
         Rcoe_util.Table.print t);
-    print_newline ();
-    print_endline "parallel eligibility (as a networked guest):";
-    List.iter
-      (fun (label, mode) ->
-        let e = eligibility_of program mode in
-        (match e.Eligibility.verdict with
-        | Eligibility.Eligible ->
-            Printf.printf
-              "  %-5s eligible (%d accesses proven device-clean, %d summary \
-               rounds)\n"
-              (label ^ ":") e.Eligibility.n_accesses e.Eligibility.rounds
-        | Eligibility.Ineligible ds ->
-            Printf.printf "  %-5s ineligible (%d diagnostic%s)\n" (label ^ ":")
-              (List.length ds)
-              (if List.length ds = 1 then "" else "s");
-            List.iter
-              (fun d -> Printf.printf "        %s\n" d.Eligibility.d_message)
-              ds))
-      elig_modes;
     r.Rcoe_isa.Lint.verdict <> Rcoe_isa.Lint.Rejected
   in
   let lint_all () =
     let t =
       Rcoe_util.Table.create
         ~headers:
-          [ "workload"; "verdict"; "counted verdict"; "warnings"; "infos";
-            "par-eligible" ]
+          [ "workload"; "verdict"; "counted verdict"; "warnings"; "infos" ]
     in
     let ok = ref true in
     List.iter
@@ -1053,14 +884,6 @@ let lint_cmd =
           plain.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
           || counted.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
         then ok := false;
-        let par =
-          List.filter_map
-            (fun (label, mode) ->
-              if Eligibility.eligible (eligibility_of program mode) then
-                Some label
-              else None)
-            elig_modes
-        in
         Rcoe_util.Table.add_row t
           [
             name;
@@ -1068,7 +891,6 @@ let lint_cmd =
             verdict_str counted;
             string_of_int (count Rcoe_isa.Lint.Warning plain);
             string_of_int (count Rcoe_isa.Lint.Info plain);
-            (if par = [] then "-" else String.concat "," par);
           ])
       lintable_names;
     Rcoe_util.Table.print t;
@@ -1076,7 +898,7 @@ let lint_cmd =
   in
   (* One line per workload, no timing, fixed field order: the format the
      checked-in @lint-sweep expectations file pins, so any verdict drift
-     — lint or eligibility — shows up as a diff. *)
+     shows up as a diff. *)
   let lint_sweep () =
     let ok = ref true in
     List.iter
@@ -1088,33 +910,10 @@ let lint_cmd =
           plain.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
           || counted.Rcoe_isa.Lint.verdict = Rcoe_isa.Lint.Rejected
         then ok := false;
-        Printf.printf "%s verdict=%s counted=%s warnings=%d infos=%d %s\n" name
+        Printf.printf "%s verdict=%s counted=%s warnings=%d infos=%d\n" name
           (verdict_str plain) (verdict_str counted)
           (count Rcoe_isa.Lint.Warning plain)
-          (count Rcoe_isa.Lint.Info plain)
-          (String.concat " "
-             (List.map
-                (fun (label, mode) ->
-                  Printf.sprintf "par.%s=%s" label
-                    (elig_label (eligibility_of program mode)))
-                elig_modes));
-        (* The KV guest is the one workload whose footprint is
-           configuration-dependent: the analyzer models the get_info
-           ingress flag, so the checksum loop (and its MMIO reads) only
-           exists in checked configurations. Pin that verdict too. *)
-        if String.equal name "kvstore" then
-          Printf.printf
-            "%s+ingress verdict=%s counted=%s warnings=%d infos=%d %s\n" name
-            (verdict_str plain) (verdict_str counted)
-            (count Rcoe_isa.Lint.Warning plain)
-            (count Rcoe_isa.Lint.Info plain)
-            (String.concat " "
-               (List.map
-                  (fun (label, mode) ->
-                    Printf.sprintf "par.%s=%s" label
-                      (elig_label
-                         (eligibility_of ~ingress_check:true program mode)))
-                  elig_modes)))
+          (count Rcoe_isa.Lint.Info plain))
       lintable_names;
     !ok
   in

@@ -23,8 +23,8 @@ val program_for :
   Rcoe_isa.Program.t
 (** The exact guest program [run] assembles for this configuration and
     workload size — exposed so front ends can pre-flight it (e.g. the
-    footprint analyzer's parallel-eligibility verdict) without
-    duplicating the sizing arithmetic. *)
+    footprint analyzer, {!Rcoe_core.Eligibility}) without duplicating
+    the sizing arithmetic. *)
 
 val run :
   config:Rcoe_core.Config.t ->

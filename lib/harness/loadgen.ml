@@ -31,7 +31,7 @@ type outcome = { o_seq : int; o_op : int; o_status : int }
    same versioned value), and drop responses whose sequence id already
    completed. Both decisions are functions of simulated state at chunk
    boundaries, so fault runs stay bit-for-bit identical across
-   engines. *)
+   execution backends. *)
 
 type result = {
   issued : int;
@@ -361,7 +361,7 @@ let run ~config ~workload ~records ~requests ?(pacing = Closed { window = 8 })
     sys;
   }
 
-let report_json r ~engine =
+let report_json r =
   let cfg = System.config r.sys in
   let tr = System.trace r.sys in
   let net_json =
@@ -379,9 +379,10 @@ let report_json r ~engine =
   in
   Json.Obj
     [
-      ("schema", Json.String "rcoe-serve-report/v2");
+      ("schema", Json.String "rcoe-serve-report/v3");
       ("ingress_check", Json.Bool cfg.Config.ingress_check);
-      ("engine", Json.String engine);
+      ( "backend",
+        Json.String (Config.exec_backend_to_string cfg.Config.exec_backend) );
       ("mode", Json.String (Config.mode_to_string cfg.Config.mode));
       ("issued", Json.Int r.issued);
       ("completed", Json.Int r.completed);

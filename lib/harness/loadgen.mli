@@ -46,7 +46,7 @@ type fault_spec = {
     run-phase responses have drained (for [Dma_frame], at the first such
     boundary where the ring head is an unconsumed PUT). Trigger and
     effect are functions of simulated state only, so a fault run is
-    still bit-for-bit identical across engines. *)
+    still bit-for-bit identical across execution backends. *)
 
 type outcome = { o_seq : int; o_op : int; o_status : int }
 
@@ -103,8 +103,8 @@ val program_for :
     node arena holds [records] plus one insert per request only under
     D and E (the inserting mixes), which is what lets a 100k+ request
     A/B/C/F run fit the fixed per-replica memory partition. Exposed so
-    callers can run the same program through {!Rcoe_core.Eligibility}
-    before choosing the parallel engine. *)
+    callers can run the same program through a static analysis
+    ({!Rcoe_core.Eligibility}, {!Rcoe_isa.Lint}) first. *)
 
 val run :
   config:Config.t ->
@@ -130,7 +130,7 @@ val run :
     doubled per retry. Other defaults: closed-loop window 8, [gen_seed]
     11, [chunk] 400, [stall_limit] 3M, [max_cycles] 600M. *)
 
-val report_json : result -> engine:string -> Rcoe_obs.Json.t
+val report_json : result -> Rcoe_obs.Json.t
 (** The serve report: config echo, throughput, end-to-end and per-phase
     HDR latency summaries, stall attribution, net/trace counters, and —
     when faults were injected — detection-latency and recovery-stall

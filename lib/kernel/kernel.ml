@@ -95,21 +95,13 @@ let partition t = t.kpart
 let program t = t.kprogram
 let output t = t.kout
 
-let create ?trace ?(backend = Blockc.Interp) ~machine ~rid:krid ~core_id
+let create ?(backend = Blockc.Interp) ~machine ~rid:krid ~core_id
     ~layout:klayout ~program:kprogram ~callbacks () =
   let kpart = klayout.Layout.partitions.(krid) in
   let pt = { Page_table.base = kpart.Layout.pt_base; npages = Layout.va_pages } in
   let mem = machine.Machine.mem in
   Page_table.clear mem pt;
   let kcore = machine.Machine.cores.(core_id) in
-  (* All replica-scope emissions (syscalls, preemptions, faults, the
-     core's bus stalls) go through this sink. The replication engine
-     passes a per-replica child of the machine trace so the replica can
-     be stepped on its own domain; standalone kernels share the machine
-     trace as before. *)
-  let ktrace =
-    match trace with Some tr -> tr | None -> machine.Machine.trace
-  in
   let korig = kprogram.Rcoe_isa.Program.code in
   let kcode = Array.copy korig in
   let kenv =
@@ -121,7 +113,7 @@ let create ?trace ?(backend = Blockc.Interp) ~machine ~rid:krid ~core_id
       dev_write = Machine.dev_write machine;
       bus = Machine.bus_lane machine ~core_id;
       profile = machine.Machine.profile;
-      trace = ktrace;
+      trace = machine.Machine.trace;
     }
   in
   {

@@ -54,7 +54,6 @@ type fault_disposition =
           simulated counterpart of the paper's kernel data aborts. *)
 
 val create :
-  ?trace:Rcoe_obs.Trace.t ->
   ?backend:Rcoe_machine.Blockc.backend ->
   machine:Rcoe_machine.Machine.t ->
   rid:int ->
@@ -64,11 +63,8 @@ val create :
   callbacks:callbacks ->
   unit ->
   t
-(** [trace] overrides the sink for this kernel's replica-scope trace
-    events (syscall dispatch, preemptions, faults, bus stalls); it
-    defaults to the machine's trace. The replication engine passes a
-    per-replica child trace ({!Rcoe_obs.Trace.child}) so replicas can
-    record events concurrently from separate domains. The kernel's core
+(** The kernel's replica-scope trace events (syscall dispatch,
+    preemptions, faults, bus stalls) go to the machine's trace. Its core
     uses the machine's per-core bus lane
     ({!Rcoe_machine.Machine.bus_lane}).
 

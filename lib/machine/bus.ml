@@ -22,16 +22,6 @@ let try_acquire t n =
   end
   else false
 
-let advance t ~cycles =
-  (* Exactly [cycles] applications of [tick]: the parallel engine uses
-     this to bring a lane that stopped refilling mid-window (its replica
-     parked) up to the window boundary, and the result must be
-     bit-identical to the per-cycle refills of a sequential run —
-     floating-point addition is not associative, so no closed form. *)
-  for _ = 1 to cycles do
-    tick t
-  done
-
 let rate t = t.bus_rate
 
 type state = { st_credit : float; st_offered : float; st_consumed : int }

@@ -16,12 +16,6 @@ val create : rate:float -> t
 val tick : t -> unit
 (** Advance one global cycle (refill credits). *)
 
-val advance : t -> cycles:int -> unit
-(** [advance t ~cycles] applies {!tick} exactly [cycles] times. Used by
-    the parallel engine to catch a per-core lane up to a window
-    boundary with bit-identical credit state to a sequential run (the
-    refill is floating-point, so a closed form would diverge). *)
-
 val try_acquire : t -> int -> bool
 (** [try_acquire t n] takes [n] credits if available. *)
 

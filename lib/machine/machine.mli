@@ -46,9 +46,9 @@ val tick : t -> unit
 
 val tick_devices : t -> unit
 (** Run the device ticks for the current [now] without advancing time —
-    the parallel engine's catch-up after jumping [now] to a window
-    boundary: devices drain everything due by [now] in one call, exactly
-    as per-cycle ticking would have by then. *)
+    the block-compiled burst's catch-up after jumping [now] past a
+    quiescent stretch: devices drain everything due by [now] in one
+    call, exactly as per-cycle ticking would have by then. *)
 
 val bus_lane : t -> core_id:int -> Bus.t
 (** The per-core bus lane (see {!type-t}). *)

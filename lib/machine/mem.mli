@@ -16,10 +16,7 @@
     snapshots instead of full images, and resets them with
     {!clear_dirty} — the software analogue of the paging-hardware
     dirty bit the paper's platforms expose. Reads never touch the
-    flags. Under the parallel engine each worker domain writes only its
-    own (page-aligned) partition, so distinct domains touch distinct
-    flag entries, and the flags are only read while the workers are
-    parked at a barrier. *)
+    flags. *)
 
 exception Abort of int
 (** Physical address out of range. The payload is the {e first}

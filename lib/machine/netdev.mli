@@ -70,9 +70,9 @@ val next_event : t -> after:int -> int option
     interrupt line is already raised, else the delivery cycle of the
     queued head packet (clamped to [after + 1]); [None] when quiescent
     (wedged, nothing queued, or the RX ring full — deliveries then wait
-    on a driver consume, which only user code triggers). The parallel
-    engine uses this to clip execution windows so that device activity
-    lands on the same cycle as under sequential stepping. *)
+    on a driver consume, which only user code triggers). The
+    block-compiled burst uses this to stop short of device activity so
+    that it lands on the same cycle as under per-cycle stepping. *)
 
 val set_wedged : t -> bool -> unit
 (** A wedged NIC stops delivering queued packets and raising interrupts

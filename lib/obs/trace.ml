@@ -47,21 +47,11 @@ type event = { ts : int; rid : int; body : body }
 
 type t = {
   enabled : bool;
-  ring : event option array;  (* length 1 when disabled or a child *)
+  ring : event option array;  (* length 1 when disabled *)
   mutable next : int;  (* write index *)
   mutable total : int;
   mutable clock : unit -> int;
   mutable last_inject : int;  (* cycle of last injection, -1 = none *)
-  (* Child traces (one per replica under the replication engine): when
-     not buffering, a child forwards every push to the root ring using
-     the root's clock — bit-identical to emitting on the root directly.
-     While buffering (inside a parallel execution window), events are
-     accumulated locally, stamped by the child's own clock (the worker's
-     private cycle counter), and merged into the root ring at the next
-     window boundary. *)
-  parent : t option;
-  mutable buffering : bool;
-  mutable buf : event list;  (* newest first while buffering *)
 }
 
 let no_clock () = 0
@@ -76,9 +66,6 @@ let create { capacity } =
     total = 0;
     clock = no_clock;
     last_inject = -1;
-    parent = None;
-    buffering = false;
-    buf = [];
   }
 
 let disabled () =
@@ -89,97 +76,18 @@ let disabled () =
     total = 0;
     clock = no_clock;
     last_inject = -1;
-    parent = None;
-    buffering = false;
-    buf = [];
   }
-
-let child parent =
-  match parent.parent with
-  | Some _ -> invalid_arg "Trace.child: parent is itself a child"
-  | None ->
-      {
-        enabled = parent.enabled;
-        ring = Array.make 1 None;
-        next = 0;
-        total = 0;
-        clock = no_clock;
-        last_inject = -1;
-        parent = Some parent;
-        buffering = false;
-        buf = [];
-      }
 
 let enabled t = t.enabled
 let capacity t = if t.enabled then Array.length t.ring else 0
 let set_clock t f = t.clock <- f
 let now t = t.clock ()
 
-(* Insert into the root ring with an explicit timestamp. *)
-let append t e =
+let push t rid body =
   let cap = Array.length t.ring in
-  t.ring.(t.next) <- Some e;
+  t.ring.(t.next) <- Some { ts = t.clock (); rid; body };
   t.next <- (t.next + 1) mod cap;
   t.total <- t.total + 1
-
-let push t rid body =
-  if t.buffering then t.buf <- { ts = t.clock (); rid; body } :: t.buf
-  else
-    match t.parent with
-    | Some p -> append p { ts = p.clock (); rid; body }
-    | None -> append t { ts = t.clock (); rid; body }
-
-let begin_buffering t ~clock =
-  (match t.parent with
-  | None -> invalid_arg "Trace.begin_buffering: not a child trace"
-  | Some _ -> ());
-  t.clock <- clock;
-  t.buffering <- true
-
-let end_buffering t =
-  let evs = List.rev t.buf in
-  t.buf <- [];
-  t.buffering <- false;
-  t.clock <- no_clock;
-  evs
-
-let merge_buffered t lists =
-  (* Deterministic k-way merge of per-replica window buffers into the
-     root ring: each list is timestamp-ordered (worker clocks are
-     monotonic); ties across lists resolve to the lower list index —
-     the replica stepping order of the sequential engine — and order
-     within a list is preserved. The result is the exact event order a
-     sequential run would have produced. *)
-  if t.enabled then begin
-    let n = Array.length lists in
-    let heads = Array.map (fun l -> l) lists in
-    let rec next_idx best i =
-      if i >= n then best
-      else
-        let best' =
-          match (heads.(i), best) with
-          | [], _ -> best
-          | _ :: _, None -> Some i
-          | e :: _, Some b -> (
-              match heads.(b) with
-              | eb :: _ when eb.ts <= e.ts -> best
-              | _ -> Some i)
-        in
-        next_idx best' (i + 1)
-    in
-    let rec drain () =
-      match next_idx None 0 with
-      | None -> ()
-      | Some i ->
-          (match heads.(i) with
-          | e :: rest ->
-              heads.(i) <- rest;
-              append t e
-          | [] -> assert false);
-          drain ()
-    in
-    drain ()
-  end
 
 (* Each emitter takes scalar arguments and tests [enabled] before
    building the event, so a disabled trace allocates nothing. *)

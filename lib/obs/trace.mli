@@ -98,41 +98,6 @@ val set_clock : t -> (unit -> int) -> unit
 val now : t -> int
 (** The clock's current value (0 before [set_clock]). *)
 
-(** {2 Per-replica child traces}
-
-    The parallel engine gives each replica a child trace so replicas can
-    emit events concurrently from separate domains without racing on the
-    shared ring. Outside an execution window a child simply forwards
-    every event to its root using the root's clock — bit-identical to
-    emitting on the root directly, which is why the sequential engine
-    can route replica-scope events through children unconditionally.
-    Inside a window the engine calls {!begin_buffering} with the
-    worker's private cycle counter, the child accumulates events
-    locally, and the window barrier drains all children with
-    {!end_buffering} and commits them with {!merge_buffered}. *)
-
-val child : t -> t
-(** [child root] creates a forwarding child of [root]. The child shares
-    [root]'s enabled flag and owns no ring of its own. Raises
-    [Invalid_argument] if [root] is itself a child (children do not
-    nest). *)
-
-val begin_buffering : t -> clock:(unit -> int) -> unit
-(** Switch a child to window-local buffering: subsequent events are held
-    in the child, timestamped by [clock]. Raises [Invalid_argument] on a
-    non-child trace. *)
-
-val end_buffering : t -> event list
-(** Stop buffering and return the held events, oldest first. The child
-    reverts to forwarding mode. *)
-
-val merge_buffered : t -> event list array -> unit
-(** [merge_buffered root bufs] commits per-replica window buffers
-    (indexed by replica id, each timestamp-ordered) into [root]'s ring:
-    a stable k-way merge by timestamp, ties resolving to the lower
-    replica index — exactly the event order the sequential engine's
-    replica stepping loop would have produced. *)
-
 (** {2 Emitters} — all no-ops (and allocation-free) when disabled. *)
 
 val phase_begin : t -> rid:int -> sync_phase -> unit

@@ -37,11 +37,9 @@
 
     Capture and restore read and write every replica's partition (and
     the dirty bitmap) directly, so they must only run while replica
-    execution is quiescent. Both engines guarantee this: the sequential
-    engine is single-domain, and the parallel engine ({!Config.engine})
-    parks all worker domains at a barrier before any round logic —
-    including checkpoint capture and rollback restore — executes on the
-    orchestrating domain. *)
+    execution is quiescent. The engine guarantees this: it steps every
+    replica on one domain and runs round logic — including checkpoint
+    capture and rollback restore — between replica steps. *)
 
 type region =
   | R_full of int array  (** Complete image of the region. *)

@@ -2,7 +2,7 @@ type mode = Base | LC | CC
 
 type sync_level = Sync_none | Sync_args | Sync_vote
 
-type engine = Sequential | Parallel
+type engine = Sequential
 
 type checkpoint_mode = Full | Incremental
 
@@ -75,10 +75,6 @@ let default =
 
 let mode_to_string = function Base -> "Base" | LC -> "LC" | CC -> "CC"
 
-let engine_to_string = function
-  | Sequential -> "sequential"
-  | Parallel -> "parallel"
-
 let checkpoint_mode_to_string = function
   | Full -> "full"
   | Incremental -> "incremental"
@@ -87,40 +83,12 @@ let exec_backend_to_string = function Interp -> "interp" | Blocks -> "blocks"
 
 let detection_to_string = function Lockstep -> "lockstep" | Replay -> "replay"
 
-(* Lint-style eligibility check for the domain-parallel engine. The
-   parallel engine runs replicas concurrently only between sync points,
-   so any feature that couples partitions *within* a round, at cycle
-   granularity, keeps the configuration sequential. Returns the reason
-   the configuration cannot run in parallel, or [None] if it can.
-
-   [net_ok] is the footprint analyzer's per-workload verdict (see
-   [Eligibility]): a networked configuration is only admitted when the
-   caller proved that the program reaches device state exclusively
-   through the kernel-serialised syscall paths. Config alone cannot know
-   that — it never sees the program — so the default stays the blanket
-   rejection. *)
-let parallel_ineligibility ?(net_ok = false) t =
-  if t.with_net && not net_ok then
-    Some
-      "with_net: device DMA and IRQ delivery touch shared machine state \
-       every cycle, so replica cycles cannot be re-ordered across a window \
-       unless the workload's memory footprint proves all device-ring \
-       accesses are kernel-serialised (run `rcoe_run lint` for the \
-       per-workload verdict)"
-  else if t.mode <> Base && not t.exception_barriers then
-    Some
-      "exception_barriers=false under replication: an uncontrolled kernel \
-       abort halts the whole system mid-round, which a concurrently \
-       running sibling replica would observe too late (enable \
-       exception_barriers to confine aborts to the faulting replica)"
-  else None
-
 let sync_level_to_string = function
   | Sync_none -> "N"
   | Sync_args -> "A"
   | Sync_vote -> "S"
 
-let validate ?net_ok t =
+let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if t.mode = Base && t.nreplicas <> 1 then
     err "Base mode requires exactly 1 replica (got %d)" t.nreplicas
@@ -153,10 +121,6 @@ let validate ?net_ok t =
       "replay detection runs an unreplicated primary (mode Base); %s \
        lockstep replication already detects at every sync point"
       (mode_to_string t.mode)
-  else if t.detection = Replay && t.engine = Parallel then
-    err
-      "replay detection owns the checker domains itself; the primary \
-       runs on the sequential engine"
   else if t.detection = Replay && t.checkpoint_every > 0 then
     err
       "replay detection cuts its own per-chunk checkpoints; \
@@ -171,13 +135,7 @@ let validate ?net_ok t =
     err "checkpoint_depth must be >= 1"
   else if t.detection = Replay && t.max_rollbacks < 1 then
     err "max_rollbacks must be >= 1"
-  else
-    match t.engine with
-    | Sequential -> Ok ()
-    | Parallel -> (
-        match parallel_ineligibility ?net_ok t with
-        | None -> Ok ()
-        | Some reason -> err "parallel engine ineligible: %s" reason)
+  else Ok ()
 
 let replicas_label t =
   match (t.mode, t.nreplicas) with

@@ -13,17 +13,10 @@ type sync_level =
                    signature (the paper's default). *)
   | Sync_vote  (** "S": additionally vote on every system call. *)
 
-(** Execution engine for {!System.run}. Both engines compute the same
-    simulation: [Parallel] is required to be bit-for-bit identical to
-    [Sequential] — same cycle counts, signatures, votes, outcomes,
-    metrics, and cycle-stamped trace events — it only changes which host
-    domain steps each replica between sync points. *)
-type engine =
-  | Sequential  (** Step replicas round-robin on the calling domain. *)
-  | Parallel
-      (** Step each live replica's partition on its own [Domain.t]
-          between sync points; barriers, voting, IPIs, and all shared
-          machine state stay on the orchestrating domain. *)
+(** Execution engine for {!System.run}. There is one: replicas are
+    stepped round-robin on the calling domain. The field is kept so
+    existing configuration literals still build; nothing reads it. *)
+type engine = Sequential
 
 (** Execution backend for every replica core (see
     {!Rcoe_machine.Blockc}). Both backends compute the same simulation:
@@ -32,8 +25,7 @@ type engine =
     breakpoint/IRQ delivery points, trace events, and dirty bits — it
     only removes the per-cycle decode/dispatch work. The interpreter is
     the oracle; [test/test_exec_blocks.ml] and the [bench exec] baseline
-    rows hold the two identical. Orthogonal to {!engine}: either backend
-    composes with either engine. *)
+    rows hold the two identical. *)
 type exec_backend =
   | Interp  (** Decode every instruction on every cycle ([Core.step]). *)
   | Blocks
@@ -72,7 +64,7 @@ type checkpoint_mode =
           differential testing and as the conservative fallback. *)
 
 type t = {
-  engine : engine;  (** Default [Sequential]. See {!parallel_ineligibility}. *)
+  engine : engine;  (** Always [Sequential]. *)
   mode : mode;
   nreplicas : int;  (** 1 for [Base]; 2 (DMR) or 3+ (TMR) otherwise. *)
   arch : Rcoe_machine.Arch.t;
@@ -145,9 +137,8 @@ type t = {
       (** Execution backend for every replica; default [Interp]. *)
   detection : detection;
       (** Detection strategy; default [Lockstep]. [Replay] requires
-          [mode = Base], [engine = Sequential] (the checker domains are
-          owned by the replay engine itself), and [checkpoint_every = 0]
-          (chunks cut their own checkpoints). *)
+          [mode = Base] and [checkpoint_every = 0] (chunks cut their own
+          checkpoints). *)
   replay_chunk_ticks : int;
       (** Replay chunk length in preemption ticks (>= 1, default 1):
           a chunk spans [replay_chunk_ticks * tick_interval] cycles. *)
@@ -166,27 +157,11 @@ type t = {
 val default : t
 (** Base mode, one replica, x86, [Sync_args], no VM, sane intervals. *)
 
-val validate : ?net_ok:bool -> t -> (unit, string) result
+val validate : t -> (unit, string) result
 (** Reject inconsistent configurations: [Base] with replicas <> 1, LC/CC
     with fewer than 2, masking with fewer than 3, VM on Arm (the paper's
     seL4 version lacks Arm hypervisor mode), CC masking on Arm (no spare
-    page-table bit — Section IV-A). [net_ok] is forwarded to
-    {!parallel_ineligibility}. *)
-
-val parallel_ineligibility : ?net_ok:bool -> t -> string option
-(** Lint-style eligibility check for the parallel engine: [Some reason]
-    when the configuration genuinely cannot run domain-parallel —
-    [with_net] without a footprint proof (per-cycle cross-partition
-    DMA/IRQ traffic), and replicated modes without [exception_barriers]
-    (an uncontrolled kernel abort halts the whole system mid-round).
-    [None] means [engine = Parallel] is valid. {!validate} rejects
-    ineligible parallel configurations with this reason.
-
-    [net_ok] (default [false]) is the per-workload verdict of the
-    footprint analyzer ([Eligibility.check]): pass [true] only when the
-    analysis proved the program touches device state exclusively through
-    the kernel-serialised syscall paths — [System.create] does this
-    automatically for networked parallel configurations. *)
+    page-table bit — Section IV-A). *)
 
 val replicas_label : t -> string
 (** "Base", "LC-D", "LC-T", "CC-D", "CC-T", … as the paper labels
@@ -194,7 +169,6 @@ val replicas_label : t -> string
 
 val mode_to_string : mode -> string
 val sync_level_to_string : sync_level -> string
-val engine_to_string : engine -> string
 val checkpoint_mode_to_string : checkpoint_mode -> string
 val exec_backend_to_string : exec_backend -> string
 val detection_to_string : detection -> string

@@ -1,12 +1,10 @@
-(* Precise parallel-eligibility for networked workloads.
+(* Device-footprint verdicts for networked workloads.
 
-   The parallel engine re-orders replica cycles freely inside an
-   execution window and replays device activity in bulk at the window
-   boundary. That is only sound when user code never touches
-   device-mutated state directly: every interaction with the NIC must
-   go through the syscalls (and the CC driver protocol) that the
-   scheduler already serialises at rendezvous points. This module turns
-   that contract into a checkable per-workload verdict: run the
+   A workload is device-clean when user code never touches
+   device-mutated state directly: every interaction with the NIC goes
+   through the syscalls (and the CC driver protocol) that the scheduler
+   serialises at rendezvous points. This module turns that contract
+   into a checkable per-workload verdict: run the
    {!Rcoe_isa.Absint} abstract interpreter over the program, extract
    its {!Rcoe_isa.Footprint}, and reject iff some reachable access may
    overlap a device-owned region — the MMIO window, the DMA receive
@@ -16,7 +14,7 @@
 
    Base mode is categorically ineligible with a network: its single
    replica executes FT device operations inline, at cycle granularity,
-   rather than at window-aligned rendezvous points. *)
+   rather than at rendezvous points. *)
 
 open Rcoe_isa
 module Layout = Rcoe_kernel.Layout
@@ -118,7 +116,7 @@ let check ~config ~program =
              d_addr = None;
              d_message =
                "Base mode executes FT device operations inline at cycle \
-                granularity, not at window-aligned rendezvous points";
+                granularity, not at rendezvous points";
            };
          ])
       ~n_accesses:0 ~rounds:0

@@ -1,20 +1,22 @@
-(** Precise parallel-eligibility verdicts for networked workloads.
+(** Device-footprint verdicts for networked workloads.
 
-    Replaces the blanket "[with_net] cannot run on the parallel engine"
-    rejection with a per-workload proof obligation: abstract-interpret
-    the program ({!Rcoe_isa.Absint}), extract its memory footprint
+    A per-workload proof obligation: abstract-interpret the program
+    ({!Rcoe_isa.Absint}), extract its memory footprint
     ({!Rcoe_isa.Footprint}), and demand that no reachable access may
     overlap a device-owned region of the replica address space — the
     MMIO window, the DMA receive ring, or the shared input-replication
     buffer. Workloads that interact with the NIC only through the FT
-    syscalls (which the parallel engine already serialises at window
-    boundaries) pass; a raw device-ring load or store fails with
+    syscalls (which the scheduler serialises at rendezvous points)
+    pass; a raw device-ring load or store fails with
     instruction-address provenance. The DMA transmit staging half is
     user-writable by design and stays allowed.
 
     Base mode with a network is categorically ineligible: its single
     replica performs device operations inline rather than at
-    rendezvous points. *)
+    rendezvous points.
+
+    This is a standalone analysis: {!System.create} does not run it and
+    no run path consults its verdict. *)
 
 type diag = {
   d_addr : int option;  (** Instruction address, when the diagnostic has one. *)

@@ -42,7 +42,6 @@ let shadow_config cfg =
     cfg with
     Config.detection = Config.Lockstep;
     trace = None;
-    engine = Config.Sequential;
   }
 
 (* Shadow systems are created lazily (program lint and layout make

@@ -1,8 +1,6 @@
-(* The sequential execution engine: the reference semantics. Every
-   simulated cycle ticks the machine, steps each replica in rid order on
-   the calling domain, and advances the round state machine. The
-   parallel engine ([Engine_par]) is required to be bit-for-bit
-   equivalent to this loop. *)
+(* The lockstep execution engine. Every simulated cycle ticks the
+   machine, steps each replica in rid order on the calling domain, and
+   advances the round state machine. *)
 
 open Sched
 

@@ -1,10 +1,10 @@
 (* The replication scheduler: system state, round lifecycle, voting,
    masking, checkpointing, and per-cycle replica stepping. The run loops
-   live in [Engine_seq] (classic sequential stepping) and [Engine_par]
-   (domain-parallel execution windows); [System] is the public facade
-   that dispatches on {!Config.engine}. This module has no interface —
-   the engines need the internals — but nothing outside the library
-   should depend on it. *)
+   live in [Engine_seq] (lockstep stepping) and [Engine_replay]
+   (replay detection); [System] is the public facade that dispatches on
+   {!Config.detection}. This module has no interface — the engines need
+   the internals — but nothing outside the library should depend on
+   it. *)
 
 open Rcoe_machine
 open Rcoe_kernel
@@ -147,46 +147,14 @@ type rstate =
   | Rs_halted
   | Rs_removed
 
-(* Why a worker stopped before its window cap (parallel engine). Only
-   [Pk_rendezvous] and [Pk_halt] carry a deferred effect; the others
-   just record that the replica can make no further progress on its own
-   inside this window. *)
-type park_kind =
-  | Pk_rendezvous  (* reached a sync-point rendezvous *)
-  | Pk_halt of halt_reason  (* Base-mode kernel abort: whole-system halt *)
-  | Pk_inert  (* all threads exited *)
-  | Pk_idle  (* every thread blocked; only a round event can wake it *)
-  | Pk_dead  (* core halted (crash / exception-barrier fail-stop) *)
-
-(* Per-window worker context (parallel engine). [None] outside a
-   window — every dispatch site below treats [None] as the classic
-   sequential path. The worker's private cycle counter [wv_now] doubles
-   as the child trace's clock; shared-state effects (notable events,
-   rendezvous entry, system halt) are deferred here and replayed by the
-   orchestrator in deterministic (cycle, replica) order at the window
-   barrier. *)
-type wctx = {
-  mutable wv_now : int;
-  mutable wv_vm_exits : int;  (* deferred Metrics.incr on the shared set *)
-  mutable wv_events : (int * event_kind) list;  (* newest first *)
-  mutable wpark : (int * park_kind) option;
-  mutable w_ticked : int;  (* bus-lane cycles ticked by this worker *)
-}
-
 type replica = {
   rid : int;
   kern : Kernel.t;
-  rtrace : Trace.t;
-      (* Per-replica child of the system trace. In forwarding mode
-         (always, under the sequential engine) it is indistinguishable
-         from the root; the parallel engine switches it to window
-         buffering so replicas can trace concurrently. *)
   mutable state : rstate;
   mutable finished : bool;
   mutable pending_ft : (int * int array) option;
   mutable joined : bool;
   mutable defer_publish : bool;
-  mutable wctx : wctx option;
   (* Trace/metrics bookkeeping; [tr_phase] is only ever set while the
      trace is enabled, so the helpers below are free when it is not. *)
   mutable tr_phase : Trace.sync_phase option;
@@ -252,10 +220,6 @@ type t = {
   mach : Machine.t;
   lay : Layout.t;
   lint : Rcoe_isa.Lint.report;
-  elig : Eligibility.t option;
-      (* Footprint-analyzer eligibility report; computed for every
-         networked configuration (on both engines, so the obs metric
-         sets stay identical), [None] otherwise. *)
   replicas : replica array;
   net : Netdev.t option;
   net_dpn : int;
@@ -338,8 +302,6 @@ let machine t = t.mach
 
 let lint_report t = t.lint
 
-let eligibility t = t.elig
-
 let lint_warnings t =
   List.filter_map
     (fun f ->
@@ -364,10 +326,10 @@ let stats t =
     rendezvous = Metrics.count t.ms.m_rendezvous;
   }
 
-(* Refresh-on-read gauges over device and trace-ring state. Gauges are
-   outside the Seq/Par value-identity contract (names only), which is
-   what lets net.tx_pending_hwm depend on how often the host harness
-   drains TX completions. *)
+(* Refresh-on-read gauges over device and trace-ring state. Gauges hold
+   host-side values (net.tx_pending_hwm depends on how often the host
+   harness drains TX completions), so identity checks compare counters
+   only. *)
 let metrics t =
   Metrics.set
     (Metrics.gauge_or t.metrics "trace.dropped_events")
@@ -472,35 +434,24 @@ let charge r n = Core.add_stall (Kernel.core r.kern) n
 let vm_charge t r =
   if t.cfg.Config.vm then begin
     charge r (profile t).Arch.vm_exit_cost;
-    (match r.wctx with
-    | Some w -> w.wv_vm_exits <- w.wv_vm_exits + 1
-    | None -> Metrics.incr t.ms.m_vm_exits);
-    Trace.vm_exit r.rtrace ~rid:r.rid
+    Metrics.incr t.ms.m_vm_exits;
+    Trace.vm_exit t.trace ~rid:r.rid
   end
-
-(* Replica-context notable events: inside a parallel window the shared
-   log must not be touched (wrong clock, racy list) — defer to the
-   worker context and let the window barrier replay them in
-   deterministic order. *)
-let rlog_event t r k =
-  match r.wctx with
-  | Some w -> w.wv_events <- (w.wv_now, k) :: w.wv_events
-  | None -> log_event t k
 
 (* Per-replica sync-phase spans. A new phase closes the previous one,
    so each replica carries at most one open span; [tr_phase] is only set
    while tracing, keeping both helpers free otherwise. *)
-let tp_end _t r =
+let tp_end t r =
   match r.tr_phase with
   | Some ph ->
-      Trace.phase_end r.rtrace ~rid:r.rid ph;
+      Trace.phase_end t.trace ~rid:r.rid ph;
       r.tr_phase <- None
   | None -> ()
 
 let tp_begin t r ph =
   if Trace.enabled t.trace then begin
     tp_end t r;
-    Trace.phase_begin r.rtrace ~rid:r.rid ph;
+    Trace.phase_begin t.trace ~rid:r.rid ph;
     r.tr_phase <- Some ph
   end
 
@@ -647,34 +598,9 @@ let lint_program cfg (program : Rcoe_isa.Program.t) =
   lint
 
 let create ~config:cfg ~program =
-  (* Networked configurations get the footprint analyzer's per-workload
-     verdict up front — on both engines, so the metrics registered below
-     (and hence the bit-for-bit Seq/Par identity over metric names and
-     counter values) do not depend on the engine. The verdict feeds
-     [Config.validate ~net_ok]: a proof that all device-ring accesses
-     stay inside the kernel-serialised syscall paths lifts the blanket
-     with_net rejection for the parallel engine. *)
-  let elig =
-    if cfg.Config.with_net then Some (Eligibility.check ~config:cfg ~program)
-    else None
-  in
-  let net_ok =
-    match elig with Some e -> Eligibility.eligible e | None -> false
-  in
-  (match Config.validate ~net_ok cfg with
+  (match Config.validate cfg with
   | Ok () -> ()
-  | Error msg ->
-      let msg =
-        (* When the one failing check is net eligibility, attach the
-           analyzer's instruction-address provenance. *)
-        match elig with
-        | Some e
-          when (not (Eligibility.eligible e))
-               && Config.validate ~net_ok:true cfg = Ok () ->
-            msg ^ "; analyzer verdict: " ^ Eligibility.describe e
-        | _ -> msg
-      in
-      invalid_arg ("System.create: " ^ msg));
+  | Error msg -> invalid_arg ("System.create: " ^ msg));
   check_program cfg program;
   let lint = lint_program cfg program in
   let profile = Arch.profile_of cfg.Config.arch in
@@ -704,25 +630,6 @@ let create ~config:cfg ~program =
   in
   let metrics = Metrics.create () in
   let ms = make_metric_set metrics in
-  (* Analyzer observability. Counter values are part of the Seq/Par
-     bit-for-bit contract, so only deterministic quantities (verdicts,
-     access and diagnostic counts, summary rounds) become counters; the
-     host-side wall clock is a gauge, whose name — not value — the
-     identity test compares. *)
-  (match elig with
-  | None -> ()
-  | Some e ->
-      Metrics.set (Metrics.gauge metrics "absint_host_us") e.Eligibility.host_us;
-      Metrics.incr
-        ~by:(if Eligibility.eligible e then 1 else 0)
-        (Metrics.counter metrics "absint_eligible");
-      Metrics.incr
-        ~by:(List.length (Eligibility.diags e))
-        (Metrics.counter metrics "absint_diags");
-      Metrics.incr ~by:e.Eligibility.n_accesses
-        (Metrics.counter metrics "absint_accesses");
-      Metrics.incr ~by:e.Eligibility.rounds
-        (Metrics.counter metrics "absint_rounds"));
   let tref = ref None in
   let callbacks =
     {
@@ -751,29 +658,23 @@ let create ~config:cfg ~program =
   in
   let replicas =
     Array.init cfg.Config.nreplicas (fun rid ->
-        (* Each replica gets a child of the system trace; the kernel and
-           core emit through it too, so everything a replica records can
-           be buffered per-domain by the parallel engine. *)
-        let rtrace = Trace.child trace in
         let backend =
           match cfg.Config.exec_backend with
           | Config.Interp -> Rcoe_machine.Blockc.Interp
           | Config.Blocks -> Rcoe_machine.Blockc.Blocks
         in
         let kern =
-          Kernel.create ~trace:rtrace ~backend ~machine:mach ~rid
+          Kernel.create ~backend ~machine:mach ~rid
             ~core_id:rid ~layout:lay ~program ~callbacks ()
         in
         {
           rid;
           kern;
-          rtrace;
           state = Rs_run;
           finished = false;
           pending_ft = None;
           joined = false;
           defer_publish = false;
-          wctx = None;
           tr_phase = None;
           arrived_at = -1;
           move_started = -1;
@@ -812,7 +713,6 @@ let create ~config:cfg ~program =
       mach;
       lay;
       lint;
-      elig;
       replicas;
       net;
       net_dpn;
@@ -1022,7 +922,7 @@ let ft_stage t num args =
             List.iter
               (fun r ->
                 (try Kernel.write_user_block r.kern ~va values
-                 with Kernel.User_mem_error _ -> ());
+                 with Kernel.User_mem_error _ | Mem.Abort _ -> ());
                 set_result r 0)
               live
         end
@@ -1032,10 +932,6 @@ let ft_stage t num args =
           let blocks =
             List.map (fun r -> (r.rid, read_block r ~va ~len)) live
           in
-          List.iter
-            (fun (_, b) ->
-              match b with Some _ -> () | None -> ())
-            blocks;
           List.iter2
             (fun r (_, b) ->
               match b with Some ws -> add_sig r ws | None -> add_sig r [| -1 |])
@@ -1102,7 +998,7 @@ let ft_stage t num args =
           List.iter
             (fun r ->
               (try Kernel.write_user_block r.kern ~va data
-               with Kernel.User_mem_error _ -> ());
+               with Kernel.User_mem_error _ | Mem.Abort _ -> ());
               set_result r 0)
             live
   end
@@ -1796,11 +1692,7 @@ let enter_rendezvous t r =
   (match t.phase with
   | Ph_idle ->
       t.round_seq <- t.round_seq + 1;
-      (* Via the replica's child trace: when this entry is replayed at a
-         window barrier the event must land *after* the replica's
-         buffered in-window events, which only the child can order. In
-         forwarding mode this is identical to emitting on the root. *)
-      Trace.round_begin r.rtrace ~seq:t.round_seq;
+      Trace.round_begin t.trace ~seq:t.round_seq;
       t.phase <- Ph_rdv { rdv_started = now t }
   | Ph_rdv _ -> ()
   | Ph_async _ -> () (* cannot happen: async joins are taken first *));
@@ -1824,22 +1716,14 @@ let post_syscall t r num =
           arrive t r
       | _ -> ())
   | Ph_idle | Ph_rdv _ -> (
-      (* Inside a parallel window the rendezvous entry mutates shared
-         round state; park the worker and let the orchestrator replay
-         the entry at this exact cycle. *)
-      let rendezvous () =
-        match r.wctx with
-        | Some w -> w.wpark <- Some (w.wv_now, Pk_rendezvous)
-        | None -> enter_rendezvous t r
-      in
       match r.pending_ft with
-      | Some _ -> rendezvous ()
+      | Some _ -> enter_rendezvous t r
       | None ->
           if
             t.cfg.Config.sync_level = Config.Sync_vote
             && t.cfg.Config.mode <> Config.Base
             && num <> Syscall.sys_exit
-          then rendezvous ())
+          then enter_rendezvous t r)
 
 let on_syscall t r num =
   Signature.bump_event (mem t) ~base:(sig_base t r.rid);
@@ -1866,9 +1750,9 @@ let on_fault t r fault =
   vm_charge t r;
   (match Kernel.handle_fault r.kern fault with
   | Kernel.Fd_user_fault | Kernel.Fd_user_exception ->
-      rlog_event t r (E_user_fault r.rid)
+      log_event t (E_user_fault r.rid)
   | Kernel.Fd_kernel_abort a ->
-      rlog_event t r (E_kernel_abort r.rid);
+      log_event t (E_kernel_abort r.rid);
       if t.cfg.Config.exception_barriers then begin
         (* Caught by the exception-handler barrier: halt this replica in a
            detectable (fail-stop) way; the others will time out. *)
@@ -1878,17 +1762,11 @@ let on_fault t r fault =
       else if t.cfg.Config.mode = Config.Base then begin
         r.state <- Rs_halted;
         (Kernel.core r.kern).Core.halted <- true;
-        let reason = H_kernel_exception (Printf.sprintf "phys abort @%d" a) in
-        match r.wctx with
-        | Some w -> w.wpark <- Some (w.wv_now, Pk_halt reason)
-        | None -> halt_system t reason
+        halt_system t (H_kernel_exception (Printf.sprintf "phys abort @%d" a))
       end
       else
         (* Replicated without exception barriers: an uncontrolled abort
-           takes the whole system down mid-round. Such configurations
-           are ineligible for the parallel engine
-           ({!Config.parallel_ineligibility}), so this never runs inside
-           a window. *)
+           takes the whole system down mid-round. *)
         halt_system t (H_kernel_exception (Printf.sprintf "phys abort @%d" a)));
   if Kernel.all_exited r.kern then r.finished <- true;
   if r.state <> Rs_halted then
@@ -1940,7 +1818,7 @@ let on_ipi t r =
         (* Stopped at a rep-string: step past it before publishing a
            precise position (paper Section III-D). *)
         Metrics.incr t.ms.m_rep_steps;
-        Trace.rep_step r.rtrace ~rid:r.rid;
+        Trace.rep_step t.trace ~rid:r.rid;
         charge r (profile t).Arch.rep_walk_cost;
         r.defer_publish <- true
       end
@@ -2021,7 +1899,7 @@ let step_catchup t r cu =
                 (* Step past the breakpointed address with the resume
                    flag: the bp-fire/single-step pair of Section III-D. *)
                 Metrics.incr t.ms.m_single_steps;
-                Trace.single_step r.rtrace ~rid:r.rid;
+                Trace.single_step t.trace ~rid:r.rid;
                 core.Core.bp_suppress <- true
               end
           | Core.Event (Core.Ev_syscall n) ->
@@ -2171,14 +2049,12 @@ let advance_phase t =
          timeout above, not by a vote — the paper's hanging-replica case. *)
 
 (* ---------------------------------------------------------------------- *)
-(* One simulated cycle (shared by both engines)                             *)
+(* One simulated cycle                                                      *)
 (* ---------------------------------------------------------------------- *)
 
 (* The classic cycle: advance the machine, step every replica in rid
-   order, then let the round-lifecycle state machine react. The
-   sequential engine is exactly this in a loop; the parallel engine
-   falls back to it whenever a cycle cannot be windowed (async rounds,
-   pending IPIs). *)
+   order, then let the round-lifecycle state machine react. The engine
+   is exactly this in a loop, short-circuited by [burst_cycles]. *)
 let classic_cycle t =
   Machine.tick t.mach;
   Array.iter (fun r -> step_replica t r) t.replicas;

@@ -71,15 +71,10 @@ val create : config:Config.t -> program:Rcoe_isa.Program.t -> t
     program), runs the static analyzer ({!Rcoe_isa.Lint.analyze}),
     builds the machine, partitions memory, sets up one kernel per
     replica with role-dependent device mappings, and spawns the
-    program's main thread everywhere. Networked configurations
-    additionally run the footprint analyzer ({!Eligibility.check});
-    its verdict decides whether [with_net] may use the parallel engine.
-    Raises [Invalid_argument] on an invalid configuration — including,
-    when {!Config.strict_lint} is set, a lint-rejected program or a racy
-    ({!Rcoe_isa.Lint.CC_required}) program under LC coupling, and, for
-    [engine = Parallel] with [with_net], a program whose footprint the
-    analyzer could not prove free of raw device-ring accesses (the
-    message carries the per-instruction provenance). *)
+    program's main thread everywhere. Raises [Invalid_argument] on an
+    invalid configuration — including, when {!Config.strict_lint} is
+    set, a lint-rejected program or a racy
+    ({!Rcoe_isa.Lint.CC_required}) program under LC coupling. *)
 
 val lint_report : t -> Rcoe_isa.Lint.report
 (** The static-analysis report computed at [create] time. *)
@@ -87,14 +82,6 @@ val lint_report : t -> Rcoe_isa.Lint.report
 val lint_warnings : t -> string list
 (** Warning-severity lint messages (data races, unresolvable spawns) —
     what an LC run should surface before silently risking divergence. *)
-
-val eligibility : t -> Eligibility.t option
-(** The footprint analyzer's parallel-eligibility report, computed at
-    [create] time for every networked configuration regardless of
-    engine ([None] when [with_net] is off). An [Eligible] verdict is
-    what admitted a networked configuration to the parallel engine; an
-    [Ineligible] one carries instruction-address provenance for each
-    device-region access the analysis could not rule out. *)
 
 val config : t -> Config.t
 val machine : t -> Rcoe_machine.Machine.t
@@ -123,25 +110,10 @@ val run : ?stop:(t -> bool) -> t -> max_cycles:int -> unit
     replica, the system halts, [max_cycles] elapse (counted from this
     call), or [stop] returns true (checked every 128 cycles).
 
-    Dispatches on {!Config.engine}:
-
-    - [Sequential] steps every replica on the calling domain, one
-      simulated cycle at a time — the reference semantics.
-    - [Parallel] runs each live replica's between-sync-point stretch on
-      its own host domain ([Domain.t]) and replays the round/vote logic
-      at a window boundary on the calling domain. The contract is
-      {b bit-for-bit determinism}: final cycle, outputs, votes, halt
-      reasons, metrics, event log, and cycle-stamped trace events are
-      identical to [Sequential] for any eligible configuration (see
-      {!Config.parallel_ineligibility}). The [test/test_engine_par.ml]
-      suite enforces this across LC/CC x DMR/TMR, fault injection,
-      rollback recovery and masking.
-
-    Checkpoint capture, rollback, and fault injection between [run]
-    calls need no extra care under [Parallel]: worker domains exist
-    only inside a call to [run], and within one they are quiescent
-    (parked at a barrier) whenever round logic — including
-    {!Checkpoint} capture/restore — executes. *)
+    Every replica is stepped on the calling domain, one simulated cycle
+    at a time (or in a bit-identical burst on the [Blocks] backend).
+    Under {!Config.Replay} detection the primary runs the same way
+    while checker domains verify its chunks. *)
 
 val replay_drain : t -> unit
 (** Under {!Config.Replay} detection, close the accumulating chunk and

@@ -23,7 +23,6 @@ let () =
       ("properties", Test_properties.suite);
       ("recovery", Test_recovery.suite);
       ("ckpt-incr", Test_ckpt_incr.suite);
-      ("engine-par", Test_engine_par.suite);
       ("system-smoke", Test_system_smoke.suite);
       ("workloads", Test_workloads.suite);
       ("ingress", Test_ingress.suite);

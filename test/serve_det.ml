@@ -1,20 +1,22 @@
-(* Seq/Par determinism of the serving harness at scale: a 10k-request
-   YCSB run through the NIC must produce bit-for-bit identical request
-   outcome logs, end-state signatures, and cycle counts on both
-   engines — including a run that injects a fault and recovers through
+(* Interp/Blocks determinism of the serving harness at scale: a
+   10k-request YCSB run through the NIC must produce bit-for-bit
+   identical request outcome logs, end-state signatures, and cycle
+   counts on the interpreter (the oracle) and the block-compiled
+   backend — including a run that injects a fault and recovers through
    rollback, where the harness additionally exercises client-side
-   retransmission over the DMA hole. Kept in its own binary because
-   each pair costs tens of seconds; the fast serve checks live in the
-   main suite ([test_serve.ml]). *)
+   retransmission over the DMA hole, and a run that drops a corrupted
+   frame at ingress. Kept in its own binary because each pair costs
+   tens of seconds; the fast serve checks live in the main suite
+   ([test_serve.ml]). *)
 
 open Rcoe_core
 open Rcoe_harness
 open Rcoe_workloads
 module Arch = Rcoe_machine.Arch
 
-(* Chunk 16000 amortises the parallel engine's per-[System.run] domain
-   spawn/join over 40x more cycles than the CLI default; determinism
-   only needs the two engines to share the same chunk. *)
+(* Chunk 16000 amortises the per-[System.run] harness overhead over 40x
+   more cycles than the CLI default; determinism only needs both runs
+   of a pair to share the same chunk. *)
 let chunk = 16_000
 let records = 128
 let requests = 10_000
@@ -28,55 +30,44 @@ let base_config ~checkpoint_every () =
     max_rollbacks = 3;
   }
 
-let parallel_config cfg =
-  let cfg =
-    { cfg with Config.engine = Config.Parallel; exception_barriers = true }
-  in
-  let program =
-    Loadgen.program_for ~config:cfg ~workload:Ycsb.A ~records ~requests
-  in
-  let elig = Eligibility.check ~config:cfg ~program in
-  Alcotest.(check bool) "kv server parallel-eligible" true
-    (Eligibility.eligible elig);
-  (match Config.parallel_ineligibility ~net_ok:true cfg with
-  | None -> ()
-  | Some reason -> Alcotest.failf "parallel rejected: %s" reason);
-  cfg
+let blocks_config cfg = { cfg with Config.exec_backend = Config.Blocks }
 
 let serve ?fault config =
   Loadgen.run ~config ~workload:Ycsb.A ~records ~requests ~chunk ?fault ()
 
-let check_pair ~label (seq : Loadgen.result) (par : Loadgen.result) =
-  Alcotest.(check bool) (label ^ ": seq finished") false seq.Loadgen.stalled;
-  Alcotest.(check bool) (label ^ ": par finished") false par.Loadgen.stalled;
+let check_pair ~label (interp : Loadgen.result) (blocks : Loadgen.result) =
+  Alcotest.(check bool) (label ^ ": interp finished") false
+    interp.Loadgen.stalled;
+  Alcotest.(check bool) (label ^ ": blocks finished") false
+    blocks.Loadgen.stalled;
   Alcotest.(check int)
     (label ^ ": all answered")
-    seq.Loadgen.issued seq.Loadgen.completed;
+    interp.Loadgen.issued interp.Loadgen.completed;
   Alcotest.(check int)
     (label ^ ": outcome digest")
-    seq.Loadgen.outcome_digest par.Loadgen.outcome_digest;
+    interp.Loadgen.outcome_digest blocks.Loadgen.outcome_digest;
   Alcotest.(check bool)
     (label ^ ": outcome logs identical")
     true
-    (seq.Loadgen.outcome_log = par.Loadgen.outcome_log);
+    (interp.Loadgen.outcome_log = blocks.Loadgen.outcome_log);
   Alcotest.(check bool)
     (label ^ ": end-state signatures identical")
     true
-    (seq.Loadgen.end_sigs = par.Loadgen.end_sigs);
+    (interp.Loadgen.end_sigs = blocks.Loadgen.end_sigs);
   Alcotest.(check int)
     (label ^ ": cycle counts identical")
-    (System.now seq.Loadgen.sys)
-    (System.now par.Loadgen.sys);
+    (System.now interp.Loadgen.sys)
+    (System.now blocks.Loadgen.sys);
   Alcotest.(check int)
     (label ^ ": rollback counts identical")
-    seq.Loadgen.rollbacks par.Loadgen.rollbacks
+    interp.Loadgen.rollbacks blocks.Loadgen.rollbacks
 
 let test_identity_10k () =
   let base = base_config ~checkpoint_every:0 () in
-  let seq = serve base in
-  let par = serve (parallel_config base) in
-  Alcotest.(check int) "10k run-phase ops" requests seq.Loadgen.run_ops;
-  check_pair ~label:"healthy" seq par
+  let interp = serve base in
+  let blocks = serve (blocks_config base) in
+  Alcotest.(check int) "10k run-phase ops" requests interp.Loadgen.run_ops;
+  check_pair ~label:"healthy" interp blocks
 
 let test_identity_10k_fault_rollback () =
   let fault =
@@ -84,19 +75,19 @@ let test_identity_10k_fault_rollback () =
       fault_target = Loadgen.Sig_word }
   in
   let base = base_config ~checkpoint_every:8 () in
-  let seq = serve ~fault base in
-  let par = serve ~fault (parallel_config base) in
-  Alcotest.(check bool) "fault rolled back" true (seq.Loadgen.rollbacks >= 1);
-  Alcotest.(check int) "retransmissions identical" seq.Loadgen.retransmits
-    par.Loadgen.retransmits;
-  Alcotest.(check int) "dup responses identical" seq.Loadgen.dup_responses
-    par.Loadgen.dup_responses;
-  check_pair ~label:"fault" seq par
+  let interp = serve ~fault base in
+  let blocks = serve ~fault (blocks_config base) in
+  Alcotest.(check bool) "fault rolled back" true (interp.Loadgen.rollbacks >= 1);
+  Alcotest.(check int) "retransmissions identical" interp.Loadgen.retransmits
+    blocks.Loadgen.retransmits;
+  Alcotest.(check int) "dup responses identical" interp.Loadgen.dup_responses
+    blocks.Loadgen.dup_responses;
+  check_pair ~label:"fault" interp blocks
 
 (* The ingress drop-and-redeliver lane is pure simulated state (the
    NACK and re-consume happen at FT_Mem_Rep rendezvous, the
    retransmission at a chunk boundary), so a run that drops a corrupted
-   DMA frame must still be bit-for-bit identical across engines. *)
+   DMA frame must still be bit-for-bit identical across backends. *)
 let test_identity_ingress_drop () =
   let fault =
     { Loadgen.fault_after = 2_000; fault_bit = 4;
@@ -105,17 +96,17 @@ let test_identity_ingress_drop () =
   let base =
     { (base_config ~checkpoint_every:0 ()) with Config.ingress_check = true }
   in
-  let seq = serve ~fault base in
-  let par = serve ~fault (parallel_config base) in
+  let interp = serve ~fault base in
+  let blocks = serve ~fault (blocks_config base) in
   Alcotest.(check bool) "frame dropped at ingress" true
-    (seq.Loadgen.ingress_dropped >= 1);
+    (interp.Loadgen.ingress_dropped >= 1);
   Alcotest.(check int) "no client corruption" 0
-    seq.Loadgen.counters.Ycsb.corrupted;
-  Alcotest.(check int) "ingress drops identical" seq.Loadgen.ingress_dropped
-    par.Loadgen.ingress_dropped;
-  Alcotest.(check int) "redeliveries identical" seq.Loadgen.redelivered
-    par.Loadgen.redelivered;
-  check_pair ~label:"ingress" seq par
+    interp.Loadgen.counters.Ycsb.corrupted;
+  Alcotest.(check int) "ingress drops identical" interp.Loadgen.ingress_dropped
+    blocks.Loadgen.ingress_dropped;
+  Alcotest.(check int) "redeliveries identical" interp.Loadgen.redelivered
+    blocks.Loadgen.redelivered;
+  check_pair ~label:"ingress" interp blocks
 
 (* --- replay detection: input-log determinism at scale -------------------- *)
 
@@ -227,10 +218,11 @@ let () =
     [
       ( "serve-det",
         [
-          Alcotest.test_case "seq = par, 10k requests" `Slow test_identity_10k;
-          Alcotest.test_case "seq = par, 10k requests + fault/rollback" `Slow
+          Alcotest.test_case "interp = blocks, 10k requests" `Slow
+            test_identity_10k;
+          Alcotest.test_case "interp = blocks, 10k + fault/rollback" `Slow
             test_identity_10k_fault_rollback;
-          Alcotest.test_case "seq = par, 10k requests + ingress drop" `Slow
+          Alcotest.test_case "interp = blocks, 10k + ingress drop" `Slow
             test_identity_ingress_drop;
         ] );
       ( "replay-det",

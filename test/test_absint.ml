@@ -1,16 +1,12 @@
 (* The interprocedural interval/stride analysis (Absint), the footprint
-   extraction built on it (Footprint), and the parallel-eligibility
-   verdicts they power (Eligibility) — including the headline claim: an
-   analysis-approved networked kvstore runs on the parallel engine
-   bit-for-bit identical to the sequential one, while a crafted raw
-   DMA-ring store is rejected with instruction-address provenance. *)
+   extraction built on it (Footprint), and the device-footprint verdicts
+   they power (Eligibility): the kvstore guest is device-clean under CC
+   only, and a crafted raw DMA-ring store is rejected with
+   instruction-address provenance. *)
 
 open Rcoe_isa
 open Rcoe_core
 module Layout = Rcoe_kernel.Layout
-module Metrics = Rcoe_obs.Metrics
-module Kv_run = Rcoe_harness.Kv_run
-module Ycsb = Rcoe_workloads.Ycsb
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -242,11 +238,10 @@ let test_footprint_accesses () =
 
 (* --- Eligibility ------------------------------------------------------- *)
 
-let net_config ?(engine = Config.Sequential) mode =
+let net_config mode =
   {
     Config.default with
-    Config.engine;
-    mode;
+    Config.mode;
     nreplicas = (if mode = Config.Base then 1 else 2);
     with_net = true;
     exception_barriers = true;
@@ -322,102 +317,6 @@ let test_kvstore_verdicts () =
   let base = Eligibility.check ~config:(net_config Config.Base) ~program in
   Alcotest.(check bool) "Base ineligible" false (Eligibility.eligible base)
 
-let test_system_gating () =
-  let program = Rcoe_workloads.Kvstore.program ~branch_count:false () in
-  (* LC + parallel + net: rejected, and the exception carries the
-     analyzer's verdict on top of the config-level reason. *)
-  (match
-     System.create
-       ~config:(net_config ~engine:Config.Parallel Config.LC)
-       ~program
-   with
-  | _ -> Alcotest.fail "LC parallel with_net must be rejected"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rejection carries the analyzer verdict (got %S)" msg)
-        true
-        (contains msg "with_net" && contains msg "analyzer verdict"));
-  (* CC + parallel + net: the footprint proof lifts the blanket ban. *)
-  let sys =
-    System.create ~config:(net_config ~engine:Config.Parallel Config.CC)
-      ~program
-  in
-  (match System.eligibility sys with
-  | Some e -> Alcotest.(check bool) "report eligible" true (Eligibility.eligible e)
-  | None -> Alcotest.fail "networked system must expose the report");
-  (* The report (and its metrics) exist on the sequential engine too —
-     that is what keeps the metric registries engine-independent. *)
-  let seq = System.create ~config:(net_config Config.CC) ~program in
-  Alcotest.(check bool) "sequential engine also analyzed" true
-    (System.eligibility seq <> None);
-  let dry =
-    System.create
-      ~config:{ Config.default with Config.mode = Config.CC; nreplicas = 2 }
-      ~program:(Rcoe_workloads.Dhrystone.program ~branch_count:false ())
-  in
-  Alcotest.(check bool) "no net, no report" true
-    (System.eligibility dry = None)
-
-let test_absint_metrics () =
-  let program = Rcoe_workloads.Kvstore.program ~branch_count:false () in
-  let sys = System.create ~config:(net_config Config.CC) ~program in
-  let m = System.metrics sys in
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true
-        (List.mem n (Metrics.names m)))
-    [
-      "absint_host_us"; "absint_eligible"; "absint_diags"; "absint_accesses";
-      "absint_rounds";
-    ];
-  let count n =
-    match Metrics.find_counter m n with
-    | Some c -> Metrics.count c
-    | None -> -1
-  in
-  Alcotest.(check int) "verdict counter" 1 (count "absint_eligible");
-  Alcotest.(check int) "no diagnostics" 0 (count "absint_diags");
-  Alcotest.(check bool) "accesses counted" true (count "absint_accesses" > 0)
-
-(* --- The headline differential ----------------------------------------- *)
-
-(* An analysis-approved networked workload on the parallel engine is
-   bit-for-bit the sequential run: same cycles, same responses, same
-   outputs, same metric names and counter values. *)
-let test_seq_par_identical () =
-  let run engine =
-    Kv_run.run
-      ~config:(net_config ~engine Config.CC)
-      ~workload:Ycsb.A ~records:16 ~operations:24 ()
-  in
-  let a = run Config.Sequential in
-  let b = run Config.Parallel in
-  Alcotest.(check int) "run-phase cycles" a.Kv_run.elapsed_cycles
-    b.Kv_run.elapsed_cycles;
-  Alcotest.(check int) "ops completed" a.Kv_run.ops_completed
-    b.Kv_run.ops_completed;
-  Alcotest.(check int) "final cycle" (System.now a.Kv_run.sys)
-    (System.now b.Kv_run.sys);
-  Alcotest.(check bool) "no halt" true
-    (System.halted a.Kv_run.sys = None && System.halted b.Kv_run.sys = None);
-  for rid = 0 to 1 do
-    Alcotest.(check string)
-      (Printf.sprintf "replica %d output" rid)
-      (System.output a.Kv_run.sys rid)
-      (System.output b.Kv_run.sys rid)
-  done;
-  let ma = System.metrics a.Kv_run.sys and mb = System.metrics b.Kv_run.sys in
-  Alcotest.(check (list string)) "metric names" (Metrics.names ma)
-    (Metrics.names mb);
-  List.iter
-    (fun n ->
-      match (Metrics.find_counter ma n, Metrics.find_counter mb n) with
-      | Some ca, Some cb ->
-          Alcotest.(check int) ("counter " ^ n) (Metrics.count ca)
-            (Metrics.count cb)
-      | _ -> ())
-    (Metrics.names ma)
-
 (* --- Lint report hygiene (dedupe + deterministic order) ----------------- *)
 
 let test_lint_report_order () =
@@ -471,11 +370,6 @@ let suite =
       test_raw_mmio_load_rejected;
     Alcotest.test_case "kvstore: CC eligible, LC/Base not" `Quick
       test_kvstore_verdicts;
-    Alcotest.test_case "System.create gates on the verdict" `Quick
-      test_system_gating;
-    Alcotest.test_case "analyzer obs metrics" `Quick test_absint_metrics;
-    Alcotest.test_case "net kvstore: Seq == Par bit-for-bit" `Slow
-      test_seq_par_identical;
     Alcotest.test_case "lint findings deduped and ordered" `Quick
       test_lint_report_order;
   ]

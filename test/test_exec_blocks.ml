@@ -2,7 +2,7 @@
    ([Rcoe_machine.Blockc]): the interpreter is the oracle, and [Blocks]
    must be bit-for-bit and cycle-for-cycle identical to it — final
    cycle, outputs, sync stats, metrics, event logs and cycle-stamped
-   trace events — across LC/CC x DMR/TMR on both engines, under fault
+   trace events — across LC/CC x DMR/TMR, under fault
    injection with rollback recovery, and through the ingress-checksum
    drop path. Plus the backend-specific hazards: a twin-core lockstep
    run against [Core.step] (including a breakpoint planted on a
@@ -146,7 +146,68 @@ let test_lockstep_oracle () =
       Alcotest.(check bool) "blocks discovered" true
         (st.Blockc.blocks_compiled >= 3)
 
-(* --- full-system sweep: LC/CC x DMR/TMR x Seq/Par ----------------------- *)
+(* --- full-system sweep: LC/CC x DMR/TMR ---------------------------------- *)
+
+(* Bit-for-bit identity of two finished systems: final cycle, halt,
+   ticks, notable events, downgrades, rollbacks, checkpoints, outputs,
+   every counter and histogram, and every cycle-stamped trace event. *)
+let check_metrics_identical a b =
+  let ma = System.metrics a and mb = System.metrics b in
+  Alcotest.(check (list string)) "metric names" (Metrics.names ma)
+    (Metrics.names mb);
+  List.iter
+    (fun name ->
+      (match (Metrics.find_counter ma name, Metrics.find_counter mb name) with
+      | Some ca, Some cb ->
+          Alcotest.(check int) ("counter " ^ name) (Metrics.count ca)
+            (Metrics.count cb)
+      | _ -> ());
+      match (Metrics.find_histogram ma name, Metrics.find_histogram mb name)
+      with
+      | Some ha, Some hb ->
+          Alcotest.(check (list (float 0.0))) ("histogram " ^ name)
+            (Metrics.samples ha) (Metrics.samples hb)
+      | _ -> ())
+    (Metrics.names ma)
+
+let check_identical ~label a b =
+  Alcotest.(check int) (label ^ ": final cycle") (System.now a) (System.now b);
+  Alcotest.(check bool) (label ^ ": finished") (System.finished a)
+    (System.finished b);
+  Alcotest.(check bool) (label ^ ": halt parity") true
+    (System.halted a = System.halted b);
+  Alcotest.(check int) (label ^ ": ticks") (System.tick_count a)
+    (System.tick_count b);
+  Alcotest.(check bool) (label ^ ": event log") true
+    (System.events a = System.events b);
+  Alcotest.(check bool) (label ^ ": downgrades") true
+    (System.downgrades a = System.downgrades b);
+  Alcotest.(check bool) (label ^ ": rollbacks") true
+    (System.rollbacks a = System.rollbacks b);
+  Alcotest.(check int)
+    (label ^ ": checkpoints")
+    (System.checkpoints_taken a)
+    (System.checkpoints_taken b);
+  let n = (System.config a).Config.nreplicas in
+  for rid = 0 to n - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "%s: output r%d" label rid)
+      (System.output a rid) (System.output b rid)
+  done;
+  check_metrics_identical a b;
+  let ta = System.trace a and tb = System.trace b in
+  Alcotest.(check int) (label ^ ": trace total") (Trace.total ta)
+    (Trace.total tb);
+  let ea = Trace.events ta and eb = Trace.events tb in
+  Alcotest.(check int) (label ^ ": trace length") (List.length ea)
+    (List.length eb);
+  List.iteri
+    (fun i (eva, evb) ->
+      if eva <> evb then
+        Alcotest.failf "%s: trace event %d differs: ts=%d rid=%d vs ts=%d rid=%d"
+          label i eva.Trace.ts eva.Trace.rid evb.Trace.ts evb.Trace.rid)
+    (List.combine ea eb)
+
 
 let backend_cfg backend cfg =
   {
@@ -169,26 +230,22 @@ let backend_pair ~label cfg =
   let a = run_sweep cfg Config.Interp and b = run_sweep cfg Config.Blocks in
   Alcotest.(check bool) (label ^ ": interp run completed") true
     (System.finished a || System.halted a <> None);
-  Test_engine_par.check_identical ~label a b;
+  check_identical ~label a b;
   (a, b)
 
-let sweep_cfg ~mode ~nreplicas ~engine =
+let sweep_cfg ~mode ~nreplicas =
   {
     (Runner.config_for ~mode ~nreplicas ~arch:x86 ~seed:7 ()) with
-    Config.engine;
-    (* Parallel replication requires exception barriers; keep both
-       engines' rows apples-to-apples. *)
-    exception_barriers = (mode <> Config.Base);
+    Config.exception_barriers = (mode <> Config.Base);
   }
 
 let test_sweep_seq () =
   List.iter
     (fun (mode, n) ->
       let label =
-        Printf.sprintf "%s-%d/seq" (Config.mode_to_string mode) n
+        Printf.sprintf "%s-%d" (Config.mode_to_string mode) n
       in
-      ignore
-        (backend_pair ~label (sweep_cfg ~mode ~nreplicas:n ~engine:Config.Sequential)))
+      ignore (backend_pair ~label (sweep_cfg ~mode ~nreplicas:n)))
     [
       (Config.Base, 1);
       (Config.LC, 2);
@@ -197,15 +254,30 @@ let test_sweep_seq () =
       (Config.CC, 3);
     ]
 
-let test_sweep_par () =
+(* The [~stop] polling contract: the predicate runs at multiples of 128
+   cycles, and the Blocks burst never crosses a poll boundary, so an
+   early stop lands on the same cycle on both backends. *)
+let test_stop_predicate () =
   List.iter
     (fun (mode, n) ->
-      let label =
-        Printf.sprintf "%s-%d/par" (Config.mode_to_string mode) n
+      let label = Printf.sprintf "%s-%d/stop" (Config.mode_to_string mode) n in
+      let run backend =
+        let sys =
+          System.create
+            ~config:(backend_cfg backend (sweep_cfg ~mode ~nreplicas:n))
+            ~program:(sweep_program ())
+        in
+        System.run sys ~max_cycles:80_000_000 ~stop:(fun s ->
+            String.length (System.output s 0) >= 3);
+        sys
       in
-      ignore
-        (backend_pair ~label (sweep_cfg ~mode ~nreplicas:n ~engine:Config.Parallel)))
-    [ (Config.LC, 3); (Config.CC, 2) ]
+      let a = run Config.Interp and b = run Config.Blocks in
+      Alcotest.(check bool) (label ^ ": stopped mid-run") false
+        (System.finished a);
+      Alcotest.(check int) (label ^ ": stopped on a poll boundary") 0
+        (System.now a mod 128);
+      check_identical ~label a b)
+    [ (Config.Base, 1); (Config.CC, 2) ]
 
 let test_sweep_exercises_catchup () =
   (* The CC rows must actually have used breakpoints and single-steps
@@ -214,7 +286,7 @@ let test_sweep_exercises_catchup () =
      laggard-catch-up machinery on nearly every tick. *)
   let cfg =
     {
-      (sweep_cfg ~mode:Config.CC ~nreplicas:2 ~engine:Config.Sequential) with
+      (sweep_cfg ~mode:Config.CC ~nreplicas:2) with
       Config.tick_interval = 20_000;
       barrier_timeout = 2_000_000;
     }
@@ -227,7 +299,7 @@ let test_sweep_exercises_catchup () =
   in
   let a = run Config.Interp and b = run Config.Blocks in
   Alcotest.(check bool) "interp run completed" true (System.finished a);
-  Test_engine_par.check_identical ~label:"CC-2/seq-catchup" a b;
+  check_identical ~label:"CC-2/seq-catchup" a b;
   let count name =
     match Metrics.find_counter (System.metrics b) name with
     | Some c -> Metrics.count c
@@ -302,7 +374,7 @@ let test_mid_rep_movs_differential () =
   in
   let a = run Config.Interp and b = run Config.Blocks in
   Alcotest.(check bool) "finished" true (System.finished a);
-  Test_engine_par.check_identical ~label:"mid-rep" a b;
+  check_identical ~label:"mid-rep" a b;
   let rep_steps sys =
     match Metrics.find_counter (System.metrics sys) "catchup.rep_steps" with
     | Some c -> Metrics.count c
@@ -356,7 +428,7 @@ let test_smc_invalidation () =
   in
   let a = run Config.Interp and b = run Config.Blocks in
   Alcotest.(check bool) "finished" true (System.finished a);
-  Test_engine_par.check_identical ~label:"smc" a b;
+  check_identical ~label:"smc" a b;
   Alcotest.(check string) "patched constant visible" "BJ"
     (System.output b 0);
   match Kernel.block_cache (System.kernel b 0) with
@@ -375,8 +447,8 @@ let suite =
       test_lockstep_oracle;
     Alcotest.test_case "healthy sweep: Base/LC/CC x DMR/TMR, sequential"
       `Slow test_sweep_seq;
-    Alcotest.test_case "healthy sweep: LC-T/CC-D, parallel engine" `Slow
-      test_sweep_par;
+    Alcotest.test_case "stop predicate lands on the same cycle" `Quick
+      test_stop_predicate;
     Alcotest.test_case "CC sweep exercises catch-up breakpoints" `Slow
       test_sweep_exercises_catchup;
     Alcotest.test_case "fault + rollback recovery differential" `Slow

@@ -192,6 +192,23 @@ let test_trial_deterministic () =
   Alcotest.(check bool) "same outcome" true (fst t1 = fst t2);
   Alcotest.(check int) "same flip count" (snd t1) (snd t2)
 
+(* Regression: in these CC-DMR trials the injected flip corrupts a
+   replica's page table, so committing an FT_Mem_Access read into its
+   user memory raises [Mem.Abort]. The commit must swallow it as it does
+   a user-memory error; the trial then classifies instead of raising. *)
+let test_ft_commit_page_table_abort () =
+  List.iter
+    (fun seed ->
+      let outcome, _ =
+        Rcoe_harness.Fault_experiments.one_trial_for_debug
+          ~mode:Rcoe_core.Config.CC ~n:2 ~seed
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d" seed)
+        "Kernel exceptions"
+        (Rcoe_faults.Outcome.to_string outcome))
+    [ 803989012; 33008 ]
+
 let suite =
   [
     Alcotest.test_case "kernel regions" `Quick test_kernel_regions_cover_kernel_only;
@@ -212,4 +229,6 @@ let suite =
     Alcotest.test_case "overclock active-user bound" `Quick
       test_overclock_respects_active_user;
     Alcotest.test_case "fault trial deterministic" `Quick test_trial_deterministic;
+    Alcotest.test_case "FT commit survives page-table abort" `Quick
+      test_ft_commit_page_table_abort;
   ]

@@ -109,7 +109,7 @@ let test_next_event_quiescent_when_quarantined () =
   wreg nd Netdev.reg_rx_nack 1;
   (* Both slots quarantined, a frame still queued: the device cannot
      act until the driver re-polls, so it must report quiescence (the
-     parallel engine would otherwise spin on a phantom wakeup). *)
+     Blocks burst would otherwise stop short of a phantom wakeup). *)
   Alcotest.(check (option int)) "quiescent while fully quarantined" None
     (Netdev.next_event nd ~after:10);
   ignore (rreg nd Netdev.reg_rx_count);

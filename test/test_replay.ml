@@ -85,8 +85,6 @@ let test_config_validation () =
   in
   expect_err "replay under replication"
     { (replay_config ()) with Config.mode = Config.CC; nreplicas = 2 };
-  expect_err "replay on the parallel engine"
-    { (replay_config ()) with Config.engine = Config.Parallel };
   expect_err "replay with lockstep checkpointing"
     { (replay_config ()) with Config.checkpoint_every = 4 };
   expect_err "zero chunk ticks"

@@ -1,8 +1,8 @@
-(* Fast serving-harness checks on the sequential engine: request
-   accounting, attribution closure, open-loop pacing, the fault
-   campaign with client-side retransmission over the DMA hole, and the
-   refresh-on-read net./trace. gauges. The heavy 10k-request Seq/Par
-   identity runs live in the separate [serve_det] binary. *)
+(* Fast serving-harness checks: request accounting, attribution
+   closure, open-loop pacing, the fault campaign with client-side
+   retransmission over the DMA hole, and the refresh-on-read net./trace.
+   gauges. The heavy 10k-request Interp/Blocks identity runs live in
+   the separate [serve_det] binary. *)
 
 open Rcoe_core
 open Rcoe_harness
@@ -131,20 +131,20 @@ let test_report_json () =
     Loadgen.run ~config:(config ()) ~workload:Ycsb.A ~records:32 ~requests:100
       ()
   in
-  let j = Json.to_string (Loadgen.report_json r ~engine:"sequential") in
+  let j = Json.to_string (Loadgen.report_json r) in
   List.iter
     (fun key ->
       Alcotest.(check bool) (key ^ " in report") true
         (contains j ("\"" ^ key ^ "\"")))
     [
-      "schema"; "engine"; "throughput_kops"; "outcome_digest"; "end_sigs";
+      "schema"; "backend"; "throughput_kops"; "outcome_digest"; "end_sigs";
       "requests"; "attribution"; "net"; "rx_dropped"; "dropped_events";
       "retransmits"; "dup_responses"; "ingress_check"; "ingress_checked";
       "ingress_dropped"; "redelivered"; "outcome_sorted_digest"; "rx_nacked";
       "ingress_stall";
     ];
   Alcotest.(check bool) "schema tagged" true
-    (contains j "rcoe-serve-report/v2")
+    (contains j "rcoe-serve-report/v3")
 
 let test_perfetto_request_track () =
   let r =
