@@ -184,6 +184,22 @@ let print_replay_summary sys =
     (c "replay.mismatches")
     (List.length (System.rollbacks sys))
 
+(* Why the Blocks fast path did or did not fire (see System.fastpath). *)
+let print_fastpath sys =
+  let f = System.fastpath sys in
+  let total = max 1 (f.System.burst_cycles + f.System.classic_cycles) in
+  Printf.printf
+    "fastpath:   %d bursts over %d cycles (%.1f%%), %d classic cycles\n"
+    f.System.bursts f.System.burst_cycles
+    (100.0 *. float_of_int f.System.burst_cycles /. float_of_int total)
+    f.System.classic_cycles;
+  Printf.printf
+    "            burst ends: event %d, tick %d, device %d, ipi %d, budget %d; \
+     declined: phase %d, state %d, window %d\n"
+    f.System.end_event f.System.end_tick f.System.end_device f.System.end_ipi
+    f.System.end_budget f.System.declined_phase f.System.declined_state
+    f.System.declined_window
+
 let mk_config ?(fast_catchup = false) ?(masking = false) ?(checkpoint_every = 0)
     ?(checkpoint_mode = Config.Incremental) ?(max_rollbacks = 3)
     ?(exec_backend = Config.Interp) mode n arch vm level seed ~with_net =
@@ -285,9 +301,11 @@ let run_cmd =
       print_replay_summary r.Runner.sys;
     let out = System.output r.Runner.sys 0 in
     if out <> "" then Printf.printf "output:     %S\n" out;
-    if metrics then
+    if metrics then begin
+      print_fastpath r.Runner.sys;
       Rcoe_util.Table.print
         (Rcoe_obs.Metrics.to_table (System.metrics r.Runner.sys))
+    end
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -618,6 +636,7 @@ let serve_cmd =
         (Rcoe_obs.Trace.total tr)
         (Rcoe_obs.Trace.dropped tr)
         (Rcoe_obs.Reqtrace.open_hwm r.Loadgen.rt);
+      print_fastpath r.Loadgen.sys;
       if ingress_check || r.Loadgen.ingress_dropped > 0 then begin
         Printf.printf
           "ingress:    checked=%d dropped=%d redelivered=%d retransmits=%d\n"

@@ -24,10 +24,12 @@ let add_word t w =
    so k = 4096 stays under 2^57. *)
 let reduce_block = 4096
 
-let add_words t ws =
-  let n = Array.length ws in
+let add_sub t ws ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length ws then
+    invalid_arg "Fletcher.add_sub";
+  let n = pos + len in
   let c0 = ref t.c0 and c1 = ref t.c1 in
-  let i = ref 0 in
+  let i = ref pos in
   while !i < n do
     let stop = min n (!i + reduce_block) in
     let a0 = ref !c0 and a1 = ref !c1 in
@@ -41,6 +43,8 @@ let add_words t ws =
   done;
   t.c0 <- !c0;
   t.c1 <- !c1
+
+let add_words t ws = add_sub t ws ~pos:0 ~len:(Array.length ws)
 
 let add_string t s =
   let n = String.length s in

@@ -22,6 +22,11 @@ val add_word : t -> int -> unit
 
 val add_words : t -> int array -> unit
 
+val add_sub : t -> int array -> pos:int -> len:int -> unit
+(** [add_sub t ws ~pos ~len] feeds [ws.(pos)] .. [ws.(pos+len-1)]:
+    [add_words t (Array.sub ws pos len)] without the copy. Raises
+    [Invalid_argument] if the range is not inside [ws]. *)
+
 val add_string : t -> string -> unit
 (** Feed a byte string (packed little-endian into words). *)
 

@@ -108,6 +108,7 @@ let create ?(backend = Blockc.Interp) ~machine ~rid:krid ~core_id
     {
       Core.code = kcode;
       mem;
+      phys = (fun ~vaddr ~write -> Page_table.phys mem pt ~vaddr ~write);
       translate = (fun ~vaddr ~write -> Page_table.translate mem pt ~vaddr ~write);
       dev_read = Machine.dev_read machine;
       dev_write = Machine.dev_write machine;

@@ -112,28 +112,6 @@ let cond_fn (c : Rcoe_isa.Instr.cond) : int -> int -> bool =
   | Gt -> ( > )
   | Ge -> ( >= )
 
-let fcond_fn (c : Rcoe_isa.Instr.cond) : float -> float -> bool =
-  let open Rcoe_isa.Instr in
-  match c with
-  | Eq -> ( = )
-  | Ne -> ( <> )
-  | Lt -> ( < )
-  | Le -> ( <= )
-  | Gt -> ( > )
-  | Ge -> ( >= )
-
-let falu_fn (op : Rcoe_isa.Instr.falu) : float -> float -> float =
-  let open Rcoe_isa.Instr in
-  match op with Fadd -> ( +. ) | Fsub -> ( -. ) | Fmul -> ( *. ) | Fdiv -> ( /. )
-
-let funop_fn (op : Rcoe_isa.Instr.funop) : float -> float =
-  let open Rcoe_isa.Instr in
-  match op with
-  | Fmov -> fun a -> a
-  | Fneg -> ( ~-. )
-  | Fabs -> Float.abs
-  | Fsqrt -> sqrt
-
 (* Compile the instruction at [ip] into a closure that reproduces the
    matching [Core.exec] arm exactly. The closure is only ever invoked
    with [bcore.ip = ip], so per-instruction constants (the return
@@ -293,18 +271,55 @@ let compile1 bc ip (instr : Rcoe_isa.Instr.t) : dop =
         c.Core.instret <- c.Core.instret + 1;
         c.Core.last_was_cntinc <- true;
         None
-  | Falu (op, fd, fa, fb) ->
-      let f = falu_fn op and d = fidx fd and a = fidx fa and b = fidx fb in
-      fun () ->
-        fregs.(d) <- f fregs.(a) fregs.(b);
-        retire ();
-        None
-  | Funop (op, fd, fs) ->
-      let f = funop_fn op and d = fidx fd and s = fidx fs in
-      fun () ->
-        fregs.(d) <- f fregs.(s);
-        retire ();
-        None
+  (* Floating-point arms apply the operator inline, never through a
+     function value: a float passed to or returned from an unknown
+     function is boxed, one allocation per executed instruction. *)
+  | Falu (op, fd, fa, fb) -> (
+      let d = fidx fd and a = fidx fa and b = fidx fb in
+      match op with
+      | Fadd ->
+          fun () ->
+            fregs.(d) <- fregs.(a) +. fregs.(b);
+            retire ();
+            None
+      | Fsub ->
+          fun () ->
+            fregs.(d) <- fregs.(a) -. fregs.(b);
+            retire ();
+            None
+      | Fmul ->
+          fun () ->
+            fregs.(d) <- fregs.(a) *. fregs.(b);
+            retire ();
+            None
+      | Fdiv ->
+          fun () ->
+            fregs.(d) <- fregs.(a) /. fregs.(b);
+            retire ();
+            None)
+  | Funop (op, fd, fs) -> (
+      let d = fidx fd and s = fidx fs in
+      match op with
+      | Fmov ->
+          fun () ->
+            fregs.(d) <- fregs.(s);
+            retire ();
+            None
+      | Fneg ->
+          fun () ->
+            fregs.(d) <- -.fregs.(s);
+            retire ();
+            None
+      | Fabs ->
+          fun () ->
+            fregs.(d) <- Float.abs fregs.(s);
+            retire ();
+            None
+      | Fsqrt ->
+          fun () ->
+            fregs.(d) <- sqrt fregs.(s);
+            retire ();
+            None)
   | Fldi (fd, x) ->
       let d = fidx fd in
       fun () ->
@@ -315,23 +330,35 @@ let compile1 bc ip (instr : Rcoe_isa.Instr.t) : dop =
       let d = fidx fd and s = ridx rs in
       fun () ->
         let w = Core.load c env (regs.(s) + off) in
-        fregs.(d) <- Rcoe_isa.Program.word_to_float w;
+        (* [Program.word_to_float], spelled out: a cross-module call
+           returning a float boxes its result. *)
+        fregs.(d) <- Int32.float_of_bits (Int32.of_int (w land 0xFFFFFFFF));
         retire ();
         None
   | Fst (fs, rbase, off) ->
       let s = fidx fs and b = ridx rbase in
       fun () ->
+        (* [Program.float_to_word], spelled out: passing a float to a
+           cross-module call boxes it. *)
         Core.store c env
           (regs.(b) + off)
-          (Rcoe_isa.Program.float_to_word fregs.(s));
+          (Int32.to_int (Int32.bits_of_float fregs.(s)) land 0xFFFFFFFF);
         retire ();
         None
-  | Fb (cnd, fa, fb, Abs a) ->
-      let test = fcond_fn cnd and x = fidx fa and y = fidx fb in
-      fun () ->
+  | Fb (cnd, fa, fb, Abs a) -> (
+      let x = fidx fa and y = fidx fb in
+      let fb_taken taken =
         branch ();
-        if test fregs.(x) fregs.(y) then jump a else retire ();
+        if taken then jump a else retire ();
         None
+      in
+      match cnd with
+      | Eq -> fun () -> fb_taken (fregs.(x) = fregs.(y))
+      | Ne -> fun () -> fb_taken (fregs.(x) <> fregs.(y))
+      | Lt -> fun () -> fb_taken (fregs.(x) < fregs.(y))
+      | Le -> fun () -> fb_taken (fregs.(x) <= fregs.(y))
+      | Gt -> fun () -> fb_taken (fregs.(x) > fregs.(y))
+      | Ge -> fun () -> fb_taken (fregs.(x) >= fregs.(y)))
   | Fb (_, _, _, Lbl _) -> oracle
   | Itof (fd, rs) ->
       let d = fidx fd and s = ridx rs in
@@ -448,66 +475,83 @@ let invalidate_all t =
 
 (* --- stepping ----------------------------------------------------------- *)
 
-(* Batched stepping for the sequential engine's quiescent-burst fast
-   path ([Sched.burst_cycles]). Runs up to [fuel] cycles in one tight
-   loop, absorbing [Ran]/[Stalled] results internally and returning at
-   the first event (or when the fuel runs out). Each iteration first
-   refills every lane in [buses] — exactly the bus work [Machine.tick]
-   performs on a device-free machine — so bus-credit state interleaves
-   with memory accesses precisely as it would under per-cycle stepping;
-   the caller adds the consumed cycle count to [Machine.now] afterwards.
+type stop = Fuel | Dev_access | Event of int * Core.event
 
-   Preconditions (the caller's burst-eligibility check): the core is not
-   halted, no breakpoint is armed ([bp = None], [bp_suppress] clear),
-   tracing is disabled (trace stamps read [Machine.now], which this loop
-   defers), and nothing outside the core — devices, IPIs, preemption
-   ticks — can intervene within [fuel] cycles. Under those conditions
-   the loop body below is [Core.step]'s shell with the loop-invariant
-   branches hoisted out, and a burst of [n] cycles is bit-identical to
-   [n] successive [Machine.tick] + [step] pairs. The [bus_wait > 0]
-   guard before [Core.flush_bus_wait] only skips calls that would be
-   no-ops ([flush_bus_wait] itself starts with the same test). *)
-let run t ~buses ~fuel =
-  let c = t.bcore and env = t.benv in
-  let code_len = Array.length t.ops in
-  let nbus = Array.length buses in
-  let consumed = ref 0 in
-  let ev = ref None in
-  let running = ref true in
-  while !running && !consumed < fuel do
-    for i = 0 to nbus - 1 do
-      Bus.tick (Array.unsafe_get buses i)
-    done;
+(* The burst loop: the only one. Each cycle advances the clock — with
+   [mach], [Machine.tick] (time, every bus lane, every device), exactly
+   as [Sched.classic_cycle] does; without, a refill of [buses] only —
+   then steps [bcs.(0)] .. [bcs.(n-1)] in order. It stops after [fuel]
+   cycles, at the first event (the replicas after the stopper have not
+   stepped that cycle), or at the end of a cycle in which a replica
+   touched a device register, which can move the device's next action
+   into the burst's window.
+
+   Each core's step is [step]'s shell with the checks the caller has
+   shown invariant across the burst hoisted out (core not halted, no
+   breakpoint armed, [bp_suppress] clear), written inline: a call per
+   core per cycle is measurable here. The [bus_wait > 0] guard before
+   [Core.flush_bus_wait] only skips calls that would be no-ops
+   ([flush_bus_wait] itself starts with the same test). *)
+let lockstep ?mach bcs ~n ~buses ~fuel =
+  let consumed = ref 0 and stop = ref Fuel in
+  let acc0 = match mach with Some m -> m.Machine.dev_accesses | None -> 0 in
+  while !stop == Fuel && !consumed < fuel do
+    (match mach with
+    | Some m -> Machine.tick m
+    | None ->
+        for i = 0 to Array.length buses - 1 do
+          Bus.tick (Array.unsafe_get buses i)
+        done);
     incr consumed;
-    if c.Core.stall > 0 then c.Core.stall <- c.Core.stall - 1
-    else begin
-      let ip = c.Core.ip in
-      if ip < 0 || ip >= code_len then begin
-        ev := Some (Core.Ev_fault (Core.Bad_ip ip));
-        running := false
+    let i = ref 0 in
+    while !i < n do
+      let t = Array.unsafe_get bcs !i in
+      let c = t.bcore in
+      c.Core.cycles <- c.Core.cycles + 1;
+      if c.Core.stall > 0 then begin
+        c.Core.stall <- c.Core.stall - 1;
+        incr i
       end
       else begin
-        let page = ip lsr page_shift in
-        if not (Array.unsafe_get t.page_ok page) then decode_page t page;
-        match (Array.unsafe_get t.ops ip) () with
-        | exception Core.Take_fault f ->
-            c.Core.bus_wait <- 0;
-            ev := Some (Core.Ev_fault f);
-            running := false
-        | exception Core.Bus_busy -> c.Core.bus_wait <- c.Core.bus_wait + 1
-        | Some e ->
-            if c.Core.bus_wait > 0 then Core.flush_bus_wait c env;
-            ev := Some e;
-            running := false
-        | None ->
-            if c.Core.bus_wait > 0 then Core.flush_bus_wait c env;
-            if t.jitter_on && Rng.float c.Core.jitter 1.0 < t.jitter_p then
-              c.Core.stall <- c.Core.stall + t.jitter_cycles
+        let ip = c.Core.ip in
+        if ip < 0 || ip >= Array.length t.ops then begin
+          stop := Event (!i, Core.Ev_fault (Core.Bad_ip ip));
+          i := n
+        end
+        else begin
+          let page = ip lsr page_shift in
+          if not (Array.unsafe_get t.page_ok page) then decode_page t page;
+          match (Array.unsafe_get t.ops ip) () with
+          | exception Core.Take_fault f ->
+              c.Core.bus_wait <- 0;
+              stop := Event (!i, Core.Ev_fault f);
+              i := n
+          | exception Core.Bus_busy ->
+              c.Core.bus_wait <- c.Core.bus_wait + 1;
+              incr i
+          | Some e ->
+              if c.Core.bus_wait > 0 then Core.flush_bus_wait c t.benv;
+              stop := Event (!i, e);
+              i := n
+          | None ->
+              if c.Core.bus_wait > 0 then Core.flush_bus_wait c t.benv;
+              if t.jitter_on && Rng.chance c.Core.jitter t.jitter_p then
+                c.Core.stall <- c.Core.stall + t.jitter_cycles;
+              incr i
+        end
       end
-    end
+    done;
+    match mach with
+    | Some m when !stop == Fuel && m.Machine.dev_accesses <> acc0 ->
+        stop := Dev_access
+    | _ -> ()
   done;
-  c.Core.cycles <- c.Core.cycles + !consumed;
-  (!consumed, !ev)
+  (!consumed, !stop)
+
+let run t ~buses ~fuel =
+  match lockstep [| t |] ~n:1 ~buses ~fuel with
+  | consumed, Event (_, e) -> (consumed, Some e)
+  | consumed, (Fuel | Dev_access) -> (consumed, None)
 
 (* Mirror of [Core.step], with the decode replaced by the closure
    dispatch. Any observable difference from the oracle here is a bug;
@@ -549,7 +593,7 @@ let step t =
                 Core.Event ev
             | None ->
                 Core.flush_bus_wait c env;
-                if t.jitter_on && Rng.float c.Core.jitter 1.0 < t.jitter_p then
+                if t.jitter_on && Rng.chance c.Core.jitter t.jitter_p then
                   c.Core.stall <- c.Core.stall + t.jitter_cycles;
                 Core.Ran
           end

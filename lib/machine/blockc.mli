@@ -75,28 +75,55 @@ val step : t -> Core.step_result
     stall/breakpoint/fault/event outcomes, same trace emissions, same
     RNG consumption. Lazily compiles the current page on first entry. *)
 
-val run : t -> buses:Bus.t array -> fuel:int -> int * Core.event option
-(** [run t ~buses ~fuel] executes up to [fuel] architectural cycles in
-    one call, for the sequential engine's quiescent-burst fast path:
-    each iteration refills every lane in [buses] (exactly
-    {!Machine.tick}'s bus work on a device-free machine) and then
-    performs one {!step}, absorbing [Ran]/[Stalled] results and
-    returning at the first event. Returns the number of cycles consumed
-    — including the cycle of a terminating event — and that event, if
-    any; the caller must add the consumed count to [Machine.now].
+(** Why {!lockstep} returned. *)
+type stop =
+  | Fuel  (** All [fuel] cycles ran. *)
+  | Dev_access
+      (** A stepped core read or wrote a device register (counted by
+          {!Machine.dev_accesses}); the burst ended after that cycle. *)
+  | Event of int * Core.event
+      (** [Event (i, ev)]: [bcs.(i)]'s core raised [ev] on the last
+          cycle; [bcs.(i+1)] .. [bcs.(n-1)] have not stepped it. *)
 
-    Preconditions, checked by the caller: the core is not halted, no
-    breakpoint is armed ([bp = None], [bp_suppress] clear), tracing is
-    disabled, and no device-visible activity (frame delivery, raised
-    IRQ line), IPI delivery or preemption tick can fall within [fuel]
-    cycles. Devices may exist: a per-cycle [dev_tick] over a quiescent
-    window only refreshes the device's cycle cache, so the caller clips
-    [fuel] strictly short of [Netdev.next_event] and runs
-    [Machine.tick_devices] once after accounting the consumed cycles —
-    before dispatching a terminating event, whose handler may touch
-    device registers. Under those conditions a burst of [n] cycles is
-    bit-identical to [n] successive [Machine.tick] + {!step} pairs —
-    the per-cycle checks it hoists are all loop-invariant. *)
+val lockstep :
+  ?mach:Machine.t ->
+  t array ->
+  n:int ->
+  buses:Bus.t array ->
+  fuel:int ->
+  int * stop
+(** [lockstep ?mach bcs ~n ~buses ~fuel] is the burst loop, the only
+    one: up to [fuel] architectural cycles, each of which first advances
+    the clock and then steps [bcs.(0)] .. [bcs.(n-1)] in order, one
+    {!step} per cache with the burst-invariant checks hoisted out.
+    Returns the cycles consumed — including the cycle of a terminating
+    event — and why it stopped.
+
+    With [mach], the clock step is {!Machine.tick}: [Machine.now]
+    advances on every cycle (so trace stamps, such as bus-stall spans,
+    carry the true cycle), every bus lane refills and every device
+    ticks, exactly as in the engine's per-cycle path; [buses] is unused.
+    The loop also stops at the end of a cycle in which a core accessed a
+    device register ({!Dev_access}). Without [mach] only the lanes in
+    [buses] refill and nothing else advances.
+
+    Preconditions, checked by the caller ([Sched.burst_cycles]): no core
+    is halted, none has a breakpoint armed ([bp = None], [bp_suppress]
+    clear), and nothing outside the cores — a preemption tick, a device
+    delivery or raised interrupt line, an IPI — acts on the machine
+    within [fuel] cycles. Tracing may be on. Under those conditions a
+    burst is bit-identical to the same cycles run one at a time: on each
+    one, [Machine.tick] and then one {!step} per core in array order.
+    When it stops at [Event (i, ev)], the caller finishes that cycle:
+    it handles [ev], steps the remaining cores, and runs whatever
+    per-cycle logic follows the cores' steps. *)
+
+val run : t -> buses:Bus.t array -> fuel:int -> int * Core.event option
+(** [run t ~buses ~fuel] is {!lockstep} on the one cache [t] without a
+    machine: it refills [buses] on every cycle, does not advance
+    [Machine.now], and returns the consumed cycles and the terminating
+    event, if any. For probes that time the compiled backend on a
+    snapshot of one core. *)
 
 val invalidate_addr : t -> int -> unit
 (** Drop the compiled page containing the given code address (no-op if

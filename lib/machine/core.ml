@@ -35,6 +35,7 @@ type t = {
 type env = {
   code : Rcoe_isa.Instr.t array;
   mem : Mem.t;
+  phys : vaddr:int -> write:bool -> int;
   translate : vaddr:int -> write:bool -> Page_table.resolution;
   dev_read : int -> int -> int;
   dev_write : int -> int -> int -> unit;
@@ -90,30 +91,48 @@ let rep_in_progress t env =
 exception Take_fault of fault
 exception Bus_busy
 
-let resolve env ~vaddr ~write =
-  match env.translate ~vaddr ~write with
-  | Page_table.Phys p -> `Phys p
-  | Page_table.Device (d, off) -> `Dev (d, off)
-  | Page_table.No_mapping -> raise (Take_fault (Unmapped { vaddr; write }))
-  | Page_table.Not_writable -> raise (Take_fault (Write_protect vaddr))
+(* Every access first tries [env.phys], the allocation-free RAM case;
+   only faults, device pages and corrupt frame numbers take the
+   [env.translate] slow path. *)
+let access_fault ~vaddr ~write = function
+  | Page_table.No_mapping -> Take_fault (Unmapped { vaddr; write })
+  | _ -> Take_fault (Write_protect vaddr)
 
 let acquire_bus env n = if not (Bus.try_acquire env.bus n) then raise Bus_busy
 
+(* A RAM read: [tokens] bus credits and the memory stall, then the
+   access. A rep-string word takes two tokens for its read and nothing
+   for its write. *)
+let phys_read t env ~tokens p =
+  acquire_bus env tokens;
+  t.stall <- t.stall + env.profile.mem_extra_cycles;
+  try Mem.read env.mem p with Mem.Abort a -> raise (Take_fault (Phys_abort a))
+
+let mem_write env p v =
+  try Mem.write env.mem p v with Mem.Abort a -> raise (Take_fault (Phys_abort a))
+
+let phys_store t env p v =
+  acquire_bus env 1;
+  t.stall <- t.stall + env.profile.mem_extra_cycles;
+  mem_write env p v
+
 let load t env vaddr =
-  match resolve env ~vaddr ~write:false with
-  | `Phys p -> (
-      acquire_bus env 1;
-      t.stall <- t.stall + env.profile.mem_extra_cycles;
-      try Mem.read env.mem p with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-  | `Dev (d, off) -> env.dev_read d off
+  let p = env.phys ~vaddr ~write:false in
+  if p >= 0 then phys_read t env ~tokens:1 p
+  else
+    match env.translate ~vaddr ~write:false with
+    | Page_table.Phys p -> phys_read t env ~tokens:1 p
+    | Page_table.Device (d, off) -> env.dev_read d off
+    | r -> raise (access_fault ~vaddr ~write:false r)
 
 let store t env vaddr v =
-  match resolve env ~vaddr ~write:true with
-  | `Phys p -> (
-      acquire_bus env 1;
-      t.stall <- t.stall + env.profile.mem_extra_cycles;
-      try Mem.write env.mem p v with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-  | `Dev (d, off) -> env.dev_write d off v
+  let p = env.phys ~vaddr ~write:true in
+  if p >= 0 then phys_store t env p v
+  else
+    match env.translate ~vaddr ~write:true with
+    | Page_table.Phys p -> phys_store t env p v
+    | Page_table.Device (d, off) -> env.dev_write d off v
+    | r -> raise (access_fault ~vaddr ~write:true r)
 
 (* --- ALU -------------------------------------------------------------- *)
 
@@ -275,19 +294,21 @@ let exec t env instr : event option =
       else begin
         let src = regs.(reg R1) and dst = regs.(reg R0) in
         let v =
-          match resolve env ~vaddr:src ~write:false with
-          | `Phys p -> (
-              acquire_bus env 2;
-              t.stall <- t.stall + env.profile.mem_extra_cycles;
-              try Mem.read env.mem p
-              with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-          | `Dev (d, off) -> env.dev_read d off
+          let p = env.phys ~vaddr:src ~write:false in
+          if p >= 0 then phys_read t env ~tokens:2 p
+          else
+            match env.translate ~vaddr:src ~write:false with
+            | Page_table.Phys p -> phys_read t env ~tokens:2 p
+            | Page_table.Device (d, off) -> env.dev_read d off
+            | r -> raise (access_fault ~vaddr:src ~write:false r)
         in
-        (match resolve env ~vaddr:dst ~write:true with
-        | `Phys p -> (
-            try Mem.write env.mem p v
-            with Mem.Abort a -> raise (Take_fault (Phys_abort a)))
-        | `Dev (d, off) -> env.dev_write d off v);
+        (let p = env.phys ~vaddr:dst ~write:true in
+         if p >= 0 then mem_write env p v
+         else
+           match env.translate ~vaddr:dst ~write:true with
+           | Page_table.Phys p -> mem_write env p v
+           | Page_table.Device (d, off) -> env.dev_write d off v
+           | r -> raise (access_fault ~vaddr:dst ~write:true r));
         regs.(reg R0) <- dst + 1;
         regs.(reg R1) <- src + 1;
         regs.(reg R2) <- regs.(reg R2) - 1;
@@ -417,7 +438,7 @@ let step t env =
                 flush_bus_wait t env;
                 if
                   env.profile.jitter_p > 0.0
-                  && Rng.float t.jitter 1.0 < env.profile.jitter_p
+                  && Rng.chance t.jitter env.profile.jitter_p
                 then t.stall <- t.stall + env.profile.jitter_cycles;
                 Ran
           end

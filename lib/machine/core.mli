@@ -69,6 +69,10 @@ type t = {
 type env = {
   code : Rcoe_isa.Instr.t array;
   mem : Mem.t;
+  phys : vaddr:int -> write:bool -> int;
+      (** The allocation-free common case of [translate]
+          ({!Page_table.phys}): a RAM physical address, or [-1] to take
+          the [translate] slow path. Must agree with [translate]. *)
   translate : vaddr:int -> write:bool -> Page_table.resolution;
   dev_read : int -> int -> int;  (** device page id, word offset *)
   dev_write : int -> int -> int -> unit;

@@ -10,6 +10,7 @@ type t = {
   mutable irq_route : int;
   ipi_pending : int array;
   trace : Rcoe_obs.Trace.t;
+  mutable dev_accesses : int;
 }
 
 let create ?trace ~profile ~mem_words ~ncores ~seed () =
@@ -39,6 +40,7 @@ let create ?trace ~profile ~mem_words ~ncores ~seed () =
       irq_route = 0;
       ipi_pending = Array.make ncores max_int;
       trace;
+      dev_accesses = 0;
     }
   in
   Rcoe_obs.Trace.set_clock trace (fun () -> t.now);
@@ -48,13 +50,21 @@ let add_device t dev =
   t.devices <- Array.append t.devices [| dev |];
   Array.length t.devices - 1
 
+(* Plain loops, no closure over [t]: these run every simulated cycle
+   and must not allocate. *)
+let[@inline] tick_devices t =
+  let devs = t.devices and now = t.now in
+  for i = 0 to Array.length devs - 1 do
+    (Array.unsafe_get devs i).Device.dev_tick ~now
+  done
+
 let tick t =
   t.now <- t.now + 1;
-  Array.iter Bus.tick t.buses;
-  Array.iter (fun d -> d.Device.dev_tick ~now:t.now) t.devices
-
-let tick_devices t =
-  Array.iter (fun d -> d.Device.dev_tick ~now:t.now) t.devices
+  let buses = t.buses in
+  for i = 0 to Array.length buses - 1 do
+    Bus.tick (Array.unsafe_get buses i)
+  done;
+  tick_devices t
 
 let bus_lane t ~core_id = t.buses.(core_id)
 
@@ -66,24 +76,27 @@ let bus_utilisation t =
     /. float_of_int n
 
 let dev_read t dpn off =
+  t.dev_accesses <- t.dev_accesses + 1;
   if dpn >= 0 && dpn < Array.length t.devices then
     t.devices.(dpn).Device.read_reg off
   else 0
 
 let dev_write t dpn off v =
+  t.dev_accesses <- t.dev_accesses + 1;
   if dpn >= 0 && dpn < Array.length t.devices then
     t.devices.(dpn).Device.write_reg off v
 
 let pending_irq t ~core_id =
   if core_id <> t.irq_route then None
-  else
-    let n = Array.length t.devices in
-    let rec find i =
-      if i >= n then None
-      else if t.devices.(i).Device.irq_pending () then Some i
-      else find (i + 1)
-    in
-    find 0
+  else begin
+    let devs = t.devices in
+    let n = Array.length devs in
+    let i = ref 0 in
+    while !i < n && not (devs.(!i).Device.irq_pending ()) do
+      incr i
+    done;
+    if !i < n then Some !i else None
+  end
 
 let ack_irq t dpn =
   if dpn >= 0 && dpn < Array.length t.devices then begin

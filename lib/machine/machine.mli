@@ -23,6 +23,11 @@ type t = {
   ipi_pending : int array;  (** Per-core cycle at which a pending IPI
                                 becomes visible; [max_int] = none. *)
   trace : Rcoe_obs.Trace.t;  (** Event sink; disabled unless given. *)
+  mutable dev_accesses : int;
+      (** Device-register reads and writes made through {!dev_read} and
+          {!dev_write} so far. A burst ({!Blockc.lockstep}) compares it
+          across each cycle to stop after a guest MMIO access, which can
+          change when the device next acts. *)
 }
 
 val create :
@@ -43,12 +48,6 @@ val add_device : t -> Device.t -> int
 val tick : t -> unit
 (** Advance global time one cycle: bus refill, device ticks. Core
     stepping is driven by the replica scheduler, not here. *)
-
-val tick_devices : t -> unit
-(** Run the device ticks for the current [now] without advancing time —
-    the block-compiled burst's catch-up after jumping [now] past a
-    quiescent stretch: devices drain everything due by [now] in one
-    call, exactly as per-cycle ticking would have by then. *)
 
 val bus_lane : t -> core_id:int -> Bus.t
 (** The per-core bus lane (see {!type-t}). *)

@@ -48,6 +48,11 @@ let read_block t addr len =
   if addr + len > Array.length t.words then raise (Abort (first_oob t addr));
   Array.sub t.words addr len
 
+let checksum_into t f ~addr ~len =
+  if addr < 0 || len < 0 then raise (Abort addr);
+  if addr + len > Array.length t.words then raise (Abort (first_oob t addr));
+  Rcoe_checksum.Fletcher.add_sub f t.words ~pos:addr ~len
+
 let write_block t addr block =
   let len = Array.length block in
   if addr < 0 then raise (Abort addr);

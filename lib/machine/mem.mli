@@ -51,6 +51,12 @@ val blit : t -> src:int -> dst:int -> len:int -> unit
 val read_block : t -> int -> int -> int array
 val write_block : t -> int -> int array -> unit
 
+val checksum_into : t -> Rcoe_checksum.Fletcher.t -> addr:int -> len:int -> unit
+(** [checksum_into t f ~addr ~len] feeds the words at
+    \[addr, addr + len) into [f] in place: the same result as
+    [Fletcher.add_words f (read_block t addr len)], and the same
+    {!Abort}, without copying the range. *)
+
 val flip_bit : t -> addr:int -> bit:int -> unit
 (** Fault injection: XOR bit [bit] (0–61) of the word at [addr].
     Raises {!Abort} if out of range, [Invalid_argument] on a bad bit.

@@ -143,20 +143,21 @@ let deliver t payload csum =
 
 let set_wedged t w = t.wedged <- w
 
+(* Runs every simulated cycle, so it must not allocate: no closure, no
+   option from the queue peek. *)
 let dev_tick t ~now =
   t.now_cache <- now;
-  if t.wedged then ()
-  else
-  let rec drain () =
-    match Queue.peek_opt t.host_q with
-    | Some (at, payload, csum)
-      when at <= now && not (Queue.is_empty t.free_slots) ->
-        ignore (Queue.pop t.host_q);
-        deliver t payload csum;
-        drain ()
-    | Some _ | None -> ()
-  in
-  drain ()
+  if not t.wedged then
+    while
+      (not (Queue.is_empty t.host_q))
+      && (not (Queue.is_empty t.free_slots))
+      &&
+      let at, _, _ = Queue.peek t.host_q in
+      at <= now
+    do
+      let _, payload, csum = Queue.pop t.host_q in
+      deliver t payload csum
+    done
 
 (* The earliest cycle strictly after [after] at which this device could
    change observable machine state on its own: the head of the host

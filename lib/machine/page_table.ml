@@ -95,14 +95,27 @@ type resolution =
 let vpn_of vaddr = vaddr lsr page_shift
 let offset_of vaddr = vaddr land (page_size - 1)
 
+(* Both walks test the PTE word's bits directly, with no {!pte}
+   record: translation runs on every simulated memory access. *)
 let translate mem t ~vaddr ~write =
   let vpn = vpn_of vaddr in
   if vaddr < 0 || vpn >= t.npages then No_mapping
   else
-    let pte = decode (Mem.read mem (t.base + vpn)) in
-    if not pte.valid then No_mapping
-    else if write && not pte.writable then Not_writable
+    let w = Mem.read mem (t.base + vpn) in
+    if w land 1 = 0 then No_mapping
+    else if write && w land 2 = 0 then Not_writable
     else
       let off = offset_of vaddr in
-      if pte.device then Device (pte.ppn, off)
-      else Phys ((pte.ppn lsl page_shift) lor off)
+      if w land 8 <> 0 then Device (w lsr 8, off)
+      else Phys (((w lsr 8) lsl page_shift) lor off)
+
+let phys mem t ~vaddr ~write =
+  let vpn = vpn_of vaddr in
+  if vaddr < 0 || vpn >= t.npages then -1
+  else
+    let w = Mem.read mem (t.base + vpn) in
+    if w land 1 = 0 || (write && w land 2 = 0) || w land 8 <> 0 then -1
+    else
+      (* A corrupted frame number can wrap the address negative; that
+         too is left to [translate], whose [Phys] carries it as-is. *)
+      ((w lsr 8) lsl page_shift) lor offset_of vaddr

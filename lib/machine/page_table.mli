@@ -90,5 +90,12 @@ val translate : Mem.t -> table -> vaddr:int -> write:bool -> resolution
     as-is in [Phys]; the subsequent physical access will abort, which the
     kernel reports as a kernel data abort. *)
 
+val phys : Mem.t -> table -> vaddr:int -> write:bool -> int
+(** The allocation-free common case of {!translate}: the physical
+    address when [translate] would return [Phys p] with [p >= 0], and
+    [-1] in every other case (no mapping, write-protected, device page,
+    or a wrapped-negative frame address), for which the caller falls
+    back to {!translate}. Same memory reads, same {!Mem.Abort}. *)
+
 val vpn_of : int -> int
 val offset_of : int -> int

@@ -2,7 +2,7 @@
    [Config.detection]).
 
    The primary runs *unreplicated*, at near-Base speed, under the
-   sequential engine's stepping rules (quiescent bursts included). Every
+   sequential engine's stepping rules (bursts included). Every
    [replay_chunk_ticks] preemption ticks it cuts a chunk: a delta
    checkpoint into the ring, a frozen [cut_state], and the input log
    drained since the previous cut. Closed chunks enter a bounded
@@ -354,9 +354,7 @@ let run ?stop t ~max_cycles =
           | Some _ -> min budget (128 - (now t land 127))
           | None -> budget
         in
-        (match burst_cycles t ~budget with
-        | Some _ -> ()
-        | None -> classic_cycle t);
+        if burst_cycles t ~budget = 0 then classic_cycle t;
         match stop with
         | Some f when now t land 127 = 0 -> if f t then continue_ := false
         | _ -> ()

@@ -23,9 +23,7 @@ let run ?stop t ~max_cycles =
       | Some _ -> min budget (128 - (now t land 127))
       | None -> budget
     in
-    (match burst_cycles t ~budget with
-    | Some _ -> ()
-    | None -> classic_cycle t);
+    if burst_cycles t ~budget = 0 then classic_cycle t;
     (match stop with
     | Some f when now t land 127 = 0 -> if f t then continue_ := false
     | _ -> ())

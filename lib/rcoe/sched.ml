@@ -125,6 +125,25 @@ let make_metric_set reg =
         ~buckets:[ 10_000.; 50_000.; 200_000.; 1_000_000. ];
   }
 
+(* Fast-path bookkeeping: how much simulated time [burst_cycles]
+   covered and why each burst ended or was declined. Host-side
+   diagnostics, deliberately outside the metrics registry (a burst is
+   not a simulated event: the Interp oracle never bursts), but a pure
+   function of the simulation, so equal inputs give equal counts. *)
+type fastpath = {
+  mutable bursts : int;
+  mutable burst_cycles : int;
+  mutable classic_cycles : int;
+  mutable end_event : int;
+  mutable end_tick : int;
+  mutable end_device : int;
+  mutable end_ipi : int;
+  mutable end_budget : int;
+  mutable declined_phase : int;
+  mutable declined_state : int;
+  mutable declined_window : int;
+}
+
 (* Pending events delivered at the end of an asynchronous round. *)
 type ev = Tick | Dev_irq of int
 
@@ -248,6 +267,12 @@ type t = {
   metrics : Metrics.t;
   ms : metric_set;
   trace : Trace.t;
+  fp : fastpath;
+  (* Reused by [burst_cycles]: the block caches of the replicas a
+     burst steps, in rid order, and their rids. [burst_set] is sized on
+     the first burst (it needs a cache to fill with). *)
+  mutable burst_set : Rcoe_machine.Blockc.t array;
+  burst_rid : int array;
   (* Replay-based detection pipeline; [Some] iff
      [cfg.detection = Replay]. Types are mutually recursive with [t]
      because checkers verify chunks against full shadow *systems*. *)
@@ -363,6 +388,8 @@ let metrics t =
   | None -> ());
   t.metrics
 let trace t = t.trace
+
+let fastpath t = t.fp
 let halted t = t.halt
 let downgrades t = t.downgrade_log
 
@@ -378,17 +405,33 @@ let set_after_save_hook t h = t.after_save <- h
 
 let sig_base t rid = t.lay.Layout.partitions.(rid).Layout.sig_base
 
-let live t =
-  Array.to_list t.replicas
-  |> List.filter_map (fun r ->
-         match r.state with Rs_removed -> None | _ -> Some r.rid)
+let is_live r = match r.state with Rs_removed -> false | _ -> true
 
-let live_replicas t =
-  Array.to_list t.replicas
-  |> List.filter (fun r -> r.state <> Rs_removed)
+let live t =
+  Array.fold_right
+    (fun r acc -> if is_live r then r.rid :: acc else acc)
+    t.replicas []
+
+let live_replicas t = List.filter is_live (Array.to_list t.replicas)
+
+(* [p t r] over the live replicas, in rid order, without building a
+   list: the round-lifecycle checks below run on every cycle of a
+   round. Pass closed predicates (they take [t] as an argument) so the
+   call allocates no closure either. *)
+let for_all_live t p =
+  let rs = t.replicas in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length rs do
+    let r = Array.unsafe_get rs !i in
+    if is_live r && not (p t r) then ok := false;
+    incr i
+  done;
+  !ok
 
 let finished t =
-  t.halt = None && List.for_all (fun r -> r.finished) (live_replicas t)
+  match t.halt with
+  | Some _ -> false
+  | None -> for_all_live t (fun _ r -> r.finished)
 
 let log_event t k =
   t.event_log <- (now t, k) :: t.event_log;
@@ -467,11 +510,9 @@ let tp_begin t r ph =
 let replay_region_sig t =
   let f = Rcoe_checksum.Fletcher.create () in
   let p = t.lay.Layout.partitions.(0) in
-  Rcoe_checksum.Fletcher.add_words f
-    (Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words);
+  Mem.checksum_into (mem t) f ~addr:p.Layout.p_base ~len:p.Layout.p_words;
   let sh = t.lay.Layout.shared in
-  Rcoe_checksum.Fletcher.add_words f
-    (Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words);
+  Mem.checksum_into (mem t) f ~addr:sh.Layout.s_base ~len:sh.Layout.s_words;
   Rcoe_checksum.Fletcher.digest f
 
 (* Freeze the complete execution point. Runs on the primary's domain at
@@ -745,6 +786,22 @@ let create ~config:cfg ~program =
       metrics;
       ms;
       trace;
+      fp =
+        {
+          bursts = 0;
+          burst_cycles = 0;
+          classic_cycles = 0;
+          end_event = 0;
+          end_tick = 0;
+          end_device = 0;
+          end_ipi = 0;
+          end_budget = 0;
+          declined_phase = 0;
+          declined_state = 0;
+          declined_window = 0;
+        };
+      burst_set = [||];
+      burst_rid = Array.make cfg.Config.nreplicas 0;
       rp = None;
     }
   in
@@ -1774,6 +1831,18 @@ let on_fault t r fault =
     | Ph_async round when round.stage = `Gather -> join_gather t r
     | _ -> ()
 
+(* React to the event that ended a running replica's cycle. *)
+let on_event t r (ev : Core.event) =
+  match ev with
+  | Core.Ev_syscall n -> on_syscall t r n
+  | Core.Ev_fault f -> on_fault t r f
+  | Core.Ev_halt ->
+      Kernel.exit_current r.kern;
+      if Kernel.all_exited r.kern then r.finished <- true
+  | Core.Ev_breakpoint ->
+      (* Stale breakpoint outside a catch-up: clear and continue. *)
+      (Kernel.core r.kern).Core.bp <- None
+
 (* Execute one core cycle of user code for a running/chasing replica. *)
 let run_user t r =
   (* An externally halted core (crashed/overclocked/hung) freezes: it
@@ -1794,14 +1863,7 @@ let run_user t r =
               r.defer_publish <- false;
               join_gather t r
           | _ -> ())
-    | Core.Event (Core.Ev_syscall n) -> on_syscall t r n
-    | Core.Event (Core.Ev_fault f) -> on_fault t r f
-    | Core.Event Core.Ev_halt ->
-        Kernel.exit_current r.kern;
-        if Kernel.all_exited r.kern then r.finished <- true
-    | Core.Event Core.Ev_breakpoint ->
-        (* Stale breakpoint outside a catch-up: clear and continue. *)
-        (Kernel.core r.kern).Core.bp <- None
+    | Core.Event ev -> on_event t r ev
 
 let on_ipi t r =
   Machine.clear_ipi t.mach ~core_id:r.rid;
@@ -1825,6 +1887,12 @@ let on_ipi t r =
       else join_gather t r
   | _ -> ()
 
+(* The branch count a catch-up compares against the leader's: a just-
+   retired [Cntinc] has bumped the counter ahead of its branch. *)
+let adj_branches p core =
+  let raw = Core.branch_count core p in
+  if core.Core.last_was_cntinc then raw - 1 else raw
+
 let step_catchup t r cu =
   let core = Kernel.core r.kern in
   let p = profile t in
@@ -1839,10 +1907,6 @@ let step_catchup t r cu =
            will time the round out. *)
         run_user t r
     | Clock.At_user { branches_adj = leader_adj; ip } ->
-        let adj_now () =
-          let raw = Core.branch_count core p in
-          if core.Core.last_was_cntinc then raw - 1 else raw
-        in
         if t.cfg.Config.fast_catchup && (not cu.pmu_done) && not cu.bp_set
         then begin
           (* Paper Section VI: cover most of the branch deficit with a
@@ -1860,7 +1924,7 @@ let step_catchup t r cu =
                 Kernel.exit_current r.kern;
                 if Kernel.all_exited r.kern then r.finished <- true
             | Core.Event Core.Ev_breakpoint -> core.Core.bp <- None);
-            if adj_now () >= leader_adj - 8 then begin
+            if adj_branches p core >= leader_adj - 8 then begin
               cu.pmu_active <- false;
               cu.pmu_done <- true;
               (* The overflow interrupt that ends the fast phase. *)
@@ -1869,7 +1933,7 @@ let step_catchup t r cu =
               tp_begin t r Trace.Catchup
             end
           end
-          else if leader_adj - adj_now () > 32 then begin
+          else if leader_adj - adj_branches p core > 32 then begin
             cu.pmu_active <- true;
             tp_begin t r Trace.Pmu_catchup;
             charge r p.Arch.breakpoint_set_cost
@@ -2006,16 +2070,17 @@ let advance_phase t =
             Machine.ack_irq t.mach dpn;
             evs := Dev_irq dpn :: !evs
         | None -> ());
-        if !evs <> [] then initiate_round t !evs
+        match !evs with [] -> () | evs -> initiate_round t evs
       end
   | Ph_async round -> (
       if now t - round.round_started > t.cfg.Config.barrier_timeout then begin
         let stragglers =
           List.filter
             (fun r ->
-              match round.stage with
-              | `Gather -> not r.joined
-              | `Move -> r.state <> Rs_vote_wait)
+              match (round.stage, r.state) with
+              | `Gather, _ -> not r.joined
+              | `Move, Rs_vote_wait -> false
+              | `Move, _ -> true)
             (live_replicas t)
         in
         if handle_timeout t ~stragglers then
@@ -2024,25 +2089,28 @@ let advance_phase t =
       else
         match round.stage with
         | `Gather ->
-            if List.for_all (fun r -> r.joined) (live_replicas t) then
-              start_move t round
+            if for_all_live t (fun _ r -> r.joined) then start_move t round
         | `Move ->
             if
-              List.for_all
-                (fun r -> r.state = Rs_vote_wait && arrived_bar t r.rid)
-                (live_replicas t)
+              for_all_live t (fun t r ->
+                  match r.state with
+                  | Rs_vote_wait -> arrived_bar t r.rid
+                  | _ -> false)
             then finish_async_round t round)
   | Ph_rdv rdv ->
       if now t - rdv.rdv_started > t.cfg.Config.barrier_timeout then begin
         let stragglers =
-          List.filter (fun r -> r.state <> Rs_rendezvous) (live_replicas t)
+          List.filter
+            (fun r -> match r.state with Rs_rendezvous -> false | _ -> true)
+            (live_replicas t)
         in
         if handle_timeout t ~stragglers then rdv.rdv_started <- now t
       end
       else if
-        List.for_all
-          (fun r -> r.state = Rs_rendezvous && arrived_bar t r.rid)
-          (live_replicas t)
+        for_all_live t (fun t r ->
+            match r.state with
+            | Rs_rendezvous -> arrived_bar t r.rid
+            | _ -> false)
       then finish_rendezvous t
       (* A replica that exited (or hung) while the others rendezvous is a
          straggler; without timeout masking it is caught by the barrier
@@ -2054,100 +2122,136 @@ let advance_phase t =
 
 (* The classic cycle: advance the machine, step every replica in rid
    order, then let the round-lifecycle state machine react. The engine
-   is exactly this in a loop, short-circuited by [burst_cycles]. *)
+   is exactly this in a loop, short-circuited by [burst_cycles]; it is
+   also the oracle the burst is held equal to. *)
 let classic_cycle t =
+  t.fp.classic_cycles <- t.fp.classic_cycles + 1;
   Machine.tick t.mach;
-  Array.iter (fun r -> step_replica t r) t.replicas;
+  for i = 0 to Array.length t.replicas - 1 do
+    step_replica t (Array.unsafe_get t.replicas i)
+  done;
   advance_phase t
 
-(* Quiescent-burst fast path for the block-compiled backend. An
-   unreplicated machine spends almost every cycle in the same
-   configuration: phase [Ph_idle], the one replica in [Rs_run] with no
-   breakpoint armed, no devices attached, no IPI in flight, tracing off,
-   and the next preemption tick thousands of cycles away. Every
-   per-cycle check [classic_cycle] performs is loop-invariant across
-   such a stretch, and [advance_phase] is provably a no-op until the
-   cycle whose post-tick [now] reaches [next_tick]. When the
-   block-compiled backend is active we exploit this: hand [Blockc.run] a
-   fuel budget that stops strictly short of the tick boundary, let it
-   burn cycles in a tight loop that refills the bus lanes inline, then
-   account the elapsed time to [Machine.now] and handle the terminating
-   event exactly as [run_user] would have. The burst is bit-identical to
-   running [classic_cycle] [consumed] times — the differential suite and
-   the [bench exec] identity gate hold the two paths equal — and the
-   engine falls back to [classic_cycle] whenever any precondition fails.
-   Returns the number of cycles consumed, or [None] if ineligible. *)
+(* Why a burst's fuel ran out: the tightest of its clips. *)
+type clip = Clip_budget | Clip_tick | Clip_device | Clip_ipi
+
+(* The fast path, for every detection mode and replica count. Between
+   rendezvous events a system spends most cycles in one configuration:
+   phase [Ph_idle], every live replica in [Rs_run] executing user code
+   with no breakpoint armed, the next preemption tick, device action and
+   IPI delivery all in the future. Across such a window every decision
+   [classic_cycle] makes is loop-invariant: [step_replica] is [run_user]
+   and [advance_phase] does nothing until [now] reaches [next_tick] or a
+   device raises its line.
+
+   Eligibility: phase [Ph_idle]; the Blocks backend; every live replica
+   in [Rs_run], running user code (core not halted, program not
+   finished, a current thread), with no breakpoint armed and
+   [bp_suppress] clear. [Rs_removed] replicas are skipped, as
+   [step_replica] skips them. Fuel is clipped strictly short of
+   [next_tick], of [Netdev.next_event] and of every live replica's
+   pending IPI, so the cycle on which any of them lands runs through
+   [classic_cycle].
+
+   [Blockc.lockstep] then runs the window: each cycle it ticks the
+   machine (so [Machine.now] is exact on every cycle, and trace stamps
+   such as bus-stall spans read the true cycle) and steps the live
+   replicas' block caches in rid order — the one-replica Base burst is
+   its one-element case. It stops at the first event; the cycle is then
+   finished exactly as [classic_cycle] would finish it: the event is
+   dispatched as [run_user] would, the replicas after the stopper take
+   that cycle through [step_replica], and [advance_phase] runs. A guest
+   MMIO access also ends the window after its cycle, since it can move
+   the device's next action. The result is bit-identical to running
+   [classic_cycle] once per consumed cycle; the Interp backend never
+   bursts, which makes every Interp-vs-Blocks differential test a
+   burst-vs-classic test. Returns the cycles consumed, [0] if
+   ineligible. *)
 let burst_cycles t ~budget =
-  if
-    t.cfg.Config.mode <> Config.Base
-    || t.cfg.Config.trace <> None
-    || Array.length t.mach.Machine.devices
-       > (match t.net with Some _ -> 1 | None -> 0)
-  then None
-  else
-    let r = t.replicas.(0) in
-    let core = Kernel.core r.kern in
-    match r.state with
-    | Rs_run
-      when (not r.finished)
-           && (not core.Core.halted)
-           && core.Core.bp = None
-           && (not core.Core.bp_suppress)
-           && Kernel.current_tid r.kern >= 0
-           && not (Machine.ipi_visible t.mach ~core_id:0) -> (
-        match Kernel.block_cache r.kern with
-        | None -> None
-        | Some bc ->
-            (* Stay strictly short of the tick boundary: the cycle whose
-               post-tick [now] equals [next_tick] must run through
-               [classic_cycle] so [advance_phase] delivers the tick. *)
-            let fuel = min budget (t.next_tick - now t - 1) in
-            (* A networked machine may burst too (the replay primary's
-               common case): clip the fuel so no device-visible
-               activity falls inside the window. [Netdev.next_event] is
-               the first cycle the device could deliver a frame or has
-               its IRQ line up; stopping strictly short of it leaves
-               that cycle to [classic_cycle], whose [Machine.tick] runs
-               the delivery and whose [advance_phase] delivers the IRQ
-               on exactly the cycles per-cycle stepping would. Guest
-               device access cannot happen mid-burst: MMIO is
-               syscall-mediated ([translate_mmio]), and a syscall
-               terminates the burst. *)
-            let fuel =
-              match t.net with
-              | None -> fuel
-              | Some nd -> (
-                  match Netdev.next_event nd ~after:(now t) with
-                  | None -> fuel
-                  | Some at -> min fuel (at - now t - 1))
-            in
-            if fuel <= 0 then None
-            else begin
-              let consumed, ev =
-                Blockc.run bc ~buses:t.mach.Machine.buses ~fuel
-              in
-              t.mach.Machine.now <- t.mach.Machine.now + consumed;
-              (* Refresh the device clock before dispatching the event:
-                 a terminating syscall may read or write device
-                 registers, and their completion stamps must carry the
-                 post-burst cycle exactly as under per-cycle stepping
-                 (where [dev_tick] runs every cycle). Nothing can be
-                 due for delivery — the fuel clip above guarantees the
-                 window is device-quiescent. *)
-              Machine.tick_devices t.mach;
-              (match ev with
-              | None -> ()
-              | Some (Core.Ev_syscall n) -> on_syscall t r n
-              | Some (Core.Ev_fault f) -> on_fault t r f
-              | Some Core.Ev_halt ->
-                  Kernel.exit_current r.kern;
-                  if Kernel.all_exited r.kern then r.finished <- true
-              | Some Core.Ev_breakpoint ->
-                  (* Unreachable: [bp = None] is a burst precondition. *)
-                  core.Core.bp <- None);
-              Some consumed
-            end)
-    | _ -> None
+  let fp = t.fp in
+  match t.phase with
+  | Ph_async _ | Ph_rdv _ ->
+      fp.declined_phase <- fp.declined_phase + 1;
+      0
+  | Ph_idle -> (
+      let now0 = now t in
+      let fuel = ref budget and clip = ref Clip_budget in
+      let tick_room = t.next_tick - now0 - 1 in
+      if tick_room < !fuel then begin
+        fuel := tick_room;
+        clip := Clip_tick
+      end;
+      let n = ref 0 and ok = ref (t.cfg.Config.exec_backend = Config.Blocks) in
+      let rid = ref 0 in
+      while !ok && !rid < Array.length t.replicas do
+        let r = t.replicas.(!rid) in
+        (match r.state with
+        | Rs_removed -> ()
+        | Rs_run -> (
+            let ipi_room = t.mach.Machine.ipi_pending.(r.rid) - now0 - 1 in
+            if ipi_room < !fuel then begin
+              fuel := ipi_room;
+              clip := Clip_ipi
+            end;
+            let core = Kernel.core r.kern in
+            match (core.Core.bp, Kernel.block_cache r.kern) with
+            | None, Some bc
+              when (not core.Core.bp_suppress)
+                   && (not core.Core.halted)
+                   && (not r.finished)
+                   && Kernel.current_tid r.kern >= 0 ->
+                if Array.length t.burst_set = 0 then
+                  t.burst_set <- Array.make (Array.length t.replicas) bc;
+                t.burst_set.(!n) <- bc;
+                t.burst_rid.(!n) <- r.rid;
+                incr n
+            | _ -> ok := false)
+        | _ -> ok := false);
+        incr rid
+      done;
+      if not !ok then begin
+        fp.declined_state <- fp.declined_state + 1;
+        0
+      end
+      else begin
+        (match t.net with
+        | None -> ()
+        | Some nd -> (
+            match Netdev.next_event nd ~after:now0 with
+            | Some at when at - now0 - 1 < !fuel ->
+                fuel := at - now0 - 1;
+                clip := Clip_device
+            | _ -> ()));
+        if !fuel <= 0 then begin
+          fp.declined_window <- fp.declined_window + 1;
+          0
+        end
+        else begin
+          let consumed, stop =
+            Blockc.lockstep ~mach:t.mach t.burst_set ~n:!n
+              ~buses:t.mach.Machine.buses ~fuel:!fuel
+          in
+          fp.bursts <- fp.bursts + 1;
+          fp.burst_cycles <- fp.burst_cycles + consumed;
+          (match stop with
+          | Blockc.Event (i, ev) ->
+              fp.end_event <- fp.end_event + 1;
+              let stopper = t.burst_rid.(i) in
+              on_event t t.replicas.(stopper) ev;
+              for k = stopper + 1 to Array.length t.replicas - 1 do
+                step_replica t t.replicas.(k)
+              done
+          | Blockc.Dev_access -> fp.end_device <- fp.end_device + 1
+          | Blockc.Fuel -> (
+              match !clip with
+              | Clip_budget -> fp.end_budget <- fp.end_budget + 1
+              | Clip_tick -> fp.end_tick <- fp.end_tick + 1
+              | Clip_device -> fp.end_device <- fp.end_device + 1
+              | Clip_ipi -> fp.end_ipi <- fp.end_ipi + 1));
+          advance_phase t;
+          consumed
+        end
+      end)
 
 let replica_state_name t rid =
   let r = t.replicas.(rid) in

@@ -101,6 +101,40 @@ val metrics : t -> Rcoe_obs.Metrics.t
     plus catch-up distances, barrier waits, VM exits, detection
     latencies, … — the per-phase quantities of paper Tables II/V/X. *)
 
+(** Fast-path counters: how the engine covered simulated time. Each
+    engine iteration either runs one burst (several cycles in one tight
+    loop, [Blocks] backend only) or declines and runs one classic
+    per-cycle step. Bursts end on a replica event, or when their window
+    runs out at the next preemption tick, device action (or a guest
+    device-register access), IPI delivery, or the caller's budget
+    ([max_cycles] or the 128-cycle [stop] poll). A decline is for the
+    round phase (a round in progress), the replicas' state (a breakpoint
+    armed; a replica halted, finished or with no runnable thread; or the
+    [Interp] backend), or a window clipped to nothing.
+
+    These are host-side diagnostics — why a fast path did or did not
+    fire — kept out of {!metrics} so the registry stays identical
+    across backends. They are still deterministic: equal inputs give
+    equal counts. *)
+type fastpath = private {
+  mutable bursts : int;
+  mutable burst_cycles : int;  (** Simulated cycles covered by bursts. *)
+  mutable classic_cycles : int;  (** Simulated cycles stepped one at a time. *)
+  mutable end_event : int;
+  mutable end_tick : int;
+  mutable end_device : int;
+  mutable end_ipi : int;
+  mutable end_budget : int;
+  mutable declined_phase : int;
+  mutable declined_state : int;
+  mutable declined_window : int;
+}
+
+val fastpath : t -> fastpath
+(** The live fast-path counters since [create] (read-only outside the
+    engine). [bursts] is the sum of the [end_*] fields; [classic_cycles]
+    is the sum of the [declined_*] fields. *)
+
 val trace : t -> Rcoe_obs.Trace.t
 (** The structured execution trace. Disabled (and free) unless
     {!Config.trace} was set; export with {!Rcoe_obs.Export}. *)

@@ -6,6 +6,7 @@
     pseudo-random numbers for all configurations". *)
 
 type t
+(** Mutable generator state (64 bits, stored unboxed). *)
 
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
@@ -34,6 +35,11 @@ val bool : t -> bool
 
 val float : t -> float -> float
 (** [float t bound] is uniform in \[0, bound). *)
+
+val chance : t -> float -> bool
+(** [chance t p] is [float t 1.0 < p], drawn from the same stream, but
+    returns an unboxed [bool] rather than a boxed [float]: the per-cycle
+    jitter draw in the cores allocates nothing. *)
 
 val bits64 : t -> int64
 (** Raw 64-bit output of the underlying SplitMix64 step. *)

@@ -29,4 +29,5 @@ let () =
       ("serve", Test_serve.suite);
       ("exec-blocks", Test_exec_blocks.suite);
       ("replay", Test_replay.suite);
+      ("alloc", Test_alloc.suite);
     ]

@@ -3,8 +3,10 @@
    must be bit-for-bit and cycle-for-cycle identical to it — final
    cycle, outputs, sync stats, metrics, event logs and cycle-stamped
    trace events — across LC/CC x DMR/TMR, under fault
-   injection with rollback recovery, and through the ingress-checksum
-   drop path. Plus the backend-specific hazards: a twin-core lockstep
+   injection with rollback recovery, through the ingress-checksum
+   drop path, and over traced networked serves in every detection mode
+   (Interp never bursts, so these pairs also hold the Blocks burst equal
+   to per-cycle stepping). Plus the backend-specific hazards: a twin-core lockstep
    run against [Core.step] (including a breakpoint planted on a
    compiled block and the bp_suppress single-step resume), an
    interrupt that lands mid-[Rep_movs] under CC catch-up, and the
@@ -355,6 +357,102 @@ let test_ingress_drop_differential () =
   Alcotest.(check bool) "the drop path actually fired" true
     (ra.Loadgen.ingress_dropped > 0)
 
+(* --- traced networked serving, every mode -------------------------------- *)
+
+(* The serving harness always records a trace, so these runs exercise
+   the burst with tracing on, with the NIC attached and (under
+   LC/Base) with guest MMIO inside burst windows. Interp never bursts,
+   so each pair holds a Blocks run that covered most of its cycles in
+   bursts equal, event for event, to per-cycle stepping. *)
+let serve_records = 64
+let serve_requests = 300
+
+let serve_cfg ~mode ~nreplicas =
+  Runner.config_for ~mode ~nreplicas ~arch:x86 ~with_net:true ~seed:4 ()
+
+let sig_fault =
+  { Loadgen.fault_after = serve_requests / 2; fault_bit = 7;
+    fault_target = Loadgen.Sig_word }
+
+let serve_pair ~label ?pacing ?fault cfg =
+  let serve backend =
+    Loadgen.run
+      ~config:{ cfg with Config.exec_backend = backend }
+      ~workload:Ycsb.A ~records:serve_records ~requests:serve_requests
+      ?pacing ?fault ()
+  in
+  let a = serve Config.Interp and b = serve Config.Blocks in
+  Alcotest.(check bool) (label ^ ": interp not stalled") false
+    a.Loadgen.stalled;
+  Alcotest.(check int) (label ^ ": all answered") a.Loadgen.issued
+    a.Loadgen.completed;
+  Alcotest.(check int) (label ^ ": outcome digest") a.Loadgen.outcome_digest
+    b.Loadgen.outcome_digest;
+  Alcotest.(check int) (label ^ ": sorted digest")
+    a.Loadgen.outcome_sorted_digest b.Loadgen.outcome_sorted_digest;
+  Alcotest.(check bool) (label ^ ": end signatures") true
+    (a.Loadgen.end_sigs = b.Loadgen.end_sigs);
+  Alcotest.(check int) (label ^ ": rollbacks") a.Loadgen.rollbacks
+    b.Loadgen.rollbacks;
+  check_identical ~label a.Loadgen.sys b.Loadgen.sys;
+  let fa = System.fastpath a.Loadgen.sys and fb = System.fastpath b.Loadgen.sys in
+  Alcotest.(check int) (label ^ ": interp never bursts") 0 fa.System.bursts;
+  Alcotest.(check bool) (label ^ ": blocks burst") true
+    (fb.System.bursts > 0
+    && 2 * fb.System.burst_cycles > fb.System.burst_cycles + fb.System.classic_cycles);
+  Alcotest.(check int) (label ^ ": every cycle accounted")
+    (System.now b.Loadgen.sys)
+    (fb.System.burst_cycles + fb.System.classic_cycles);
+  (a, b)
+
+let test_traced_serve_modes () =
+  List.iter
+    (fun (label, cfg) -> ignore (serve_pair ~label cfg))
+    [
+      ("serve Base", serve_cfg ~mode:Config.Base ~nreplicas:1);
+      ("serve LC-D", serve_cfg ~mode:Config.LC ~nreplicas:2);
+      ("serve CC-D", serve_cfg ~mode:Config.CC ~nreplicas:2);
+      ("serve CC-T", serve_cfg ~mode:Config.CC ~nreplicas:3);
+    ];
+  (* Arrivals faster than the server drains them fill the 32-slot RX
+     ring, so the guest's own RX_CONSUME (a user-mode MMIO write under
+     Base) frees a slot for a waiting frame in the middle of a burst
+     window: the burst must end after that cycle, as the device's next
+     delivery has moved into the window. *)
+  let _, b =
+    serve_pair ~label:"serve Base, RX ring full"
+      ~pacing:(Loadgen.Open { interval = 50; max_queue = 64 })
+      (serve_cfg ~mode:Config.Base ~nreplicas:1)
+  in
+  Alcotest.(check bool) "bursts ended on a guest device access" true
+    ((System.fastpath b.Loadgen.sys).System.end_device > 0)
+
+let test_traced_serve_replay_fault () =
+  let cfg =
+    {
+      (serve_cfg ~mode:Config.Base ~nreplicas:1) with
+      Config.detection = Config.Replay;
+      replay_chunk_ticks = 4;
+      replay_checkers = 1;
+      max_rollbacks = 3;
+    }
+  in
+  let a, _ = serve_pair ~label:"serve replay + fault" ~fault:sig_fault cfg in
+  Alcotest.(check bool) "fault fired" true a.Loadgen.fault_fired;
+  Alcotest.(check bool) "replay rolled back" true (a.Loadgen.rollbacks >= 1)
+
+let test_traced_serve_cc_rollback () =
+  let cfg =
+    {
+      (serve_cfg ~mode:Config.CC ~nreplicas:2) with
+      Config.checkpoint_every = 8;
+      max_rollbacks = 3;
+    }
+  in
+  let a, _ = serve_pair ~label:"serve CC-D + rollback" ~fault:sig_fault cfg in
+  Alcotest.(check bool) "fault fired" true a.Loadgen.fault_fired;
+  Alcotest.(check bool) "lockstep rolled back" true (a.Loadgen.rollbacks >= 1)
+
 (* --- interrupt mid-Rep_movs under CC catch-up --------------------------- *)
 
 let test_mid_rep_movs_differential () =
@@ -455,6 +553,12 @@ let suite =
       test_recovery_differential;
     Alcotest.test_case "ingress-drop differential" `Slow
       test_ingress_drop_differential;
+    Alcotest.test_case "traced serve: Base/LC-D/CC-D/CC-T bursts = per-cycle"
+      `Slow test_traced_serve_modes;
+    Alcotest.test_case "traced serve: replay + fault bursts = per-cycle" `Slow
+      test_traced_serve_replay_fault;
+    Alcotest.test_case "traced serve: CC-D rollback bursts = per-cycle" `Slow
+      test_traced_serve_cc_rollback;
     Alcotest.test_case "interrupt mid-Rep_movs under CC catch-up" `Slow
       test_mid_rep_movs_differential;
     Alcotest.test_case "self-modifying code invalidation regression" `Quick

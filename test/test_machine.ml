@@ -121,6 +121,8 @@ let mk_env ?(profile = Arch.x86) code_list =
     {
       Core.code = Array.of_list code_list;
       mem;
+      phys =
+        (fun ~vaddr ~write:_ -> if vaddr >= 0 && vaddr < 4096 then vaddr else -1);
       translate =
         (fun ~vaddr ~write ->
           ignore write;
@@ -500,6 +502,31 @@ let qcheck_alu_add_sub =
       && core.Core.regs.(3) = x - y
       && core.Core.regs.(4) = x * y)
 
+(* The replay region signature checksums memory in place; it must equal
+   the copy-then-checksum it replaced, across the 4096-word reduction
+   blocks, and fail the same way out of range. *)
+let test_checksum_into () =
+  let m = Mem.create 20_000 in
+  for a = 0 to 19_999 do
+    Mem.write m a ((a * 2654435761) lxor (a lsl 40))
+  done;
+  let digest f = Rcoe_checksum.Fletcher.digest f in
+  List.iter
+    (fun (addr, len) ->
+      let a = Rcoe_checksum.Fletcher.create ()
+      and b = Rcoe_checksum.Fletcher.create () in
+      Rcoe_checksum.Fletcher.add_word a 7;
+      Rcoe_checksum.Fletcher.add_word b 7;
+      Rcoe_checksum.Fletcher.add_words a (Mem.read_block m addr len);
+      Mem.checksum_into m b ~addr ~len;
+      Alcotest.(check int)
+        (Printf.sprintf "in place = copy [%d, +%d)" addr len)
+        (digest a) (digest b))
+    [ (0, 0); (3, 1); (0, 20_000); (123, 9_000); (19_000, 1_000) ];
+  Alcotest.check_raises "out of range" (Mem.Abort 20_000) (fun () ->
+      Mem.checksum_into m (Rcoe_checksum.Fletcher.create ()) ~addr:19_999
+        ~len:2)
+
 let suite =
   [
     Alcotest.test_case "mem read/write" `Quick test_mem_rw;
@@ -509,6 +536,8 @@ let suite =
     Alcotest.test_case "bus tokens" `Quick test_bus_tokens;
     Alcotest.test_case "bus rate caps throughput" `Quick test_bus_rate_caps_throughput;
     Alcotest.test_case "pte roundtrip" `Quick test_pte_roundtrip;
+    Alcotest.test_case "checksum in place = checksum of copy" `Quick
+      test_checksum_into;
     Alcotest.test_case "translate unmapped" `Quick test_translate_unmapped;
     Alcotest.test_case "translate basic + write protect" `Quick test_translate_basic;
     Alcotest.test_case "translate device" `Quick test_translate_device;

@@ -235,14 +235,12 @@ let test_detection_lag_bound () =
 (* --- netted burst eligibility: cycle identity vs the classic path -------- *)
 
 let test_netted_burst_cycle_identity () =
-  (* The replay primary is the one configuration that is both netted and
-     burst-eligible (Base mode, no tracing): [Sched.burst_cycles] clips
-     fuel short of [Netdev.next_event] and refreshes the device clock
-     after accounting. Identity check: a Blocks run with tracing off
-     (bursts engaged) must land on exactly the cycles of the classic
-     per-cycle paths — the same run under Interp, and under Blocks with
-     a trace ring (which disables bursts but, per the Trace contract,
-     never perturbs simulated time). *)
+  (* A netted replay primary on Blocks bursts: [Sched.burst_cycles]
+     clips fuel short of [Netdev.next_event] and ticks the device on
+     every burst cycle. Identity check: Blocks runs, with and without a
+     trace ring (tracing never perturbs simulated time, and bursts run
+     either way), must land on exactly the cycles of the classic
+     per-cycle path — the same run under Interp, which never bursts. *)
   let kv ~backend ~traced =
     let config =
       {
@@ -259,6 +257,8 @@ let test_netted_burst_cycle_identity () =
     Alcotest.(check bool) "served to completion" false r.Kv_run.stalled;
     Alcotest.(check int) "no mismatches" 0
       (counter r.Kv_run.sys "replay.mismatches");
+    Alcotest.(check bool) "bursts iff blocks" (backend = Config.Blocks)
+      ((System.fastpath r.Kv_run.sys).System.bursts > 0);
     ( System.now r.Kv_run.sys,
       r.Kv_run.elapsed_cycles,
       r.Kv_run.ops_completed,
@@ -267,9 +267,10 @@ let test_netted_burst_cycle_identity () =
   in
   let burst = kv ~backend:Config.Blocks ~traced:false in
   let interp = kv ~backend:Config.Interp ~traced:false in
-  let classic = kv ~backend:Config.Blocks ~traced:true in
+  let traced = kv ~backend:Config.Blocks ~traced:true in
   Alcotest.(check bool) "blocks burst = interp classic" true (burst = interp);
-  Alcotest.(check bool) "blocks burst = blocks traced" true (burst = classic)
+  Alcotest.(check bool) "blocks burst = blocks traced burst" true
+    (burst = traced)
 
 (* --- replay metrics and gauges ------------------------------------------- *)
 

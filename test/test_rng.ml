@@ -67,6 +67,98 @@ let test_bool_mixes () =
   done;
   Alcotest.(check bool) "roughly balanced" true (!trues > 400 && !trues < 600)
 
+(* Known-answer vectors: the first eight draws of each entry point for
+   two fixed seeds, recorded from the boxed-[int64] implementation that
+   preceded the unboxed 8-byte state. Any change to the stream — which
+   would silently move every simulated cycle count — fails here. *)
+let kat_seeds = [ 42; 1_000_003 ]
+
+let kat_next =
+  [
+    [ 3419864383188818853; 737456523031723072; 1284820937115690964;
+      1587299515064563941; 175383196535490812; 4003995281415747265;
+      1007216178194406231; 3692262831746943977 ];
+    [ 1621318604566595401; 4561638912992605550; 730726320920564882;
+      3887927799567631812; 4528009896487541747; 1149605946792575044;
+      2252467668521332707; 767232264687218910 ];
+  ]
+
+let kat_float =
+  [
+    [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+      0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+      0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ];
+    [ 0x1.68014ae44ec86p-2; 0x1.fa719361d42fap-1; 0x1.4481f6f44ff28p-3;
+      0x1.afa58de06cc22p-1; 0x1.f6b5c8155cbedp-1; 0x1.fe87109147fp-3;
+      0x1.f425f6912442ep-2; 0x1.54b835c09ccep-3 ];
+  ]
+
+let kat_int1000 =
+  [ [ 853; 72; 964; 941; 812; 265; 231; 977 ];
+    [ 401; 550; 882; 812; 747; 44; 707; 910 ] ]
+
+let kat_split_child =
+  [
+    [ 3560482122768329332; 1760055630149762914; 3255140833489269802;
+      2774541117376143011; 82174786577274091; 4174842259823063975;
+      2403876382484878205; 809085184167226163 ];
+    [ 3513225201037629301; 1054202183502903769; 891639472095190304;
+      1415985548612049028; 2101504533855514836; 1790711988729698266;
+      53930622808502331; 514090903647251313 ];
+  ]
+
+let kat_split_parent =
+  [
+    [ 737456523031723072; 1284820937115690964; 1587299515064563941;
+      175383196535490812; 4003995281415747265; 1007216178194406231;
+      3692262831746943977; 1567655219403120501 ];
+    [ 4561638912992605550; 730726320920564882; 3887927799567631812;
+      4528009896487541747; 1149605946792575044; 2252467668521332707;
+      767232264687218910; 3030236752564176323 ];
+  ]
+
+let draws8 f = List.init 8 (fun _ -> f ())
+
+let test_known_answers () =
+  List.iteri
+    (fun i seed ->
+      let tag what = Printf.sprintf "seed %d: %s" seed what in
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) (tag "next") (List.nth kat_next i)
+        (draws8 (fun () -> Rng.next r));
+      let r = Rng.create seed in
+      Alcotest.(check (list (float 0.0))) (tag "float") (List.nth kat_float i)
+        (draws8 (fun () -> Rng.float r 1.0));
+      let r = Rng.create seed in
+      Alcotest.(check (list bool)) (tag "chance = float < p")
+        (List.map (fun x -> x < 0.5) (List.nth kat_float i))
+        (draws8 (fun () -> Rng.chance r 0.5));
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) (tag "int 1000") (List.nth kat_int1000 i)
+        (draws8 (fun () -> Rng.int r 1000));
+      let r = Rng.create seed in
+      let child = Rng.split r in
+      Alcotest.(check (list int)) (tag "split child")
+        (List.nth kat_split_child i)
+        (draws8 (fun () -> Rng.next child));
+      Alcotest.(check (list int)) (tag "split parent")
+        (List.nth kat_split_parent i)
+        (draws8 (fun () -> Rng.next r)))
+    kat_seeds
+
+(* [assign] rewinds a generator in place to another's position — the
+   replay checker's jitter-stream restore. *)
+let test_assign () =
+  let a = Rng.create 11 in
+  ignore (Rng.next a);
+  let saved = Rng.copy a in
+  let first = draws8 (fun () -> Rng.next a) in
+  Rng.assign ~dst:a ~src:saved;
+  Alcotest.(check (list int)) "assign rewinds" first
+    (draws8 (fun () -> Rng.next a));
+  Alcotest.(check (list int)) "source untouched" first
+    (draws8 (fun () -> Rng.next saved))
+
 let qcheck_int_in_range =
   QCheck.Test.make ~name:"Rng.int always within bound" ~count:500
     QCheck.(pair small_int (int_range 1 10_000))
@@ -81,6 +173,8 @@ let suite =
     Alcotest.test_case "different seeds differ" `Quick test_different_seeds;
     Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "copy replays" `Quick test_copy;
+    Alcotest.test_case "assign rewinds in place" `Quick test_assign;
+    Alcotest.test_case "known-answer streams" `Quick test_known_answers;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int rejects non-positive bound" `Quick
       test_int_rejects_bad_bound;
