@@ -123,7 +123,7 @@ let detection_arg =
                  signatures at sync points (the default); replay: an \
                  unreplicated primary runs ahead at near-Base speed while \
                  checker domains re-execute input-logged chunks from \
-                 pinned checkpoints and compare end-of-chunk signatures \
+                 their frozen start state and compare end-of-chunk signatures \
                  asynchronously (forces mode base, -n 1, the sequential \
                  engine; recovery rolls back to the mismatching chunk's \
                  start)")

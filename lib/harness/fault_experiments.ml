@@ -491,12 +491,13 @@ let recovery_trial ?(exec_backend = Config.Interp) ~checkpointing ~fault ~seed
    under asynchronous replay detection ([Config.Replay]): detection is
    a checker's end-of-chunk signature disagreement rather than a
    lockstep vote, and recovery rolls back to the mismatching chunk's
-   pinned start checkpoint. A transient must end [Recovered] with the
-   fault-free reference output — on both execution backends; a
-   persistent fault re-asserts after the rollback, and the repeat
-   verdict against the same chunk fail-stops: replay re-executed the
-   chunk from a clean snapshot and it *still* mismatched, so the
-   fault is deterministic and retrying cannot help. *)
+   start cut. A transient must end [Recovered] with the fault-free
+   reference output — on both execution backends; a persistent fault
+   re-asserts after the rollback, and the repeat verdict against the
+   same chunk fail-stops (one rollback per verified chunk): replay
+   re-executed the chunk from its clean start and it *still*
+   mismatched, so the fault is deterministic and retrying cannot
+   help. *)
 let replay_recovery_trial ?(exec_backend = Config.Interp) ~fault ~seed () =
   let config =
     {
@@ -505,7 +506,6 @@ let replay_recovery_trial ?(exec_backend = Config.Interp) ~fault ~seed () =
       with
       Config.detection = Config.Replay;
       replay_chunk_ticks = 2;
-      checkpoint_depth = 3;
       max_rollbacks = 8;
       exec_backend;
     }
@@ -616,9 +616,8 @@ let recovery_table ?(trials = 12) () =
      must be 100% Recovered (a fail-stop would be controlled but
      defeats replay's point — count it against the CI gate), the
      persistent row must fail-stop: a second verdict against the same
-     re-executed chunk escalates past the lone chunk-start snapshot
-     (the fault is deterministic under replay, so retrying cannot
-     help) and halts with the ring empty. *)
+     re-executed chunk, before any chunk verified, halts (the fault is
+     deterministic under replay, so retrying cannot help). *)
   let replay_failures = ref 0 in
   let replay_row label ~exec_backend ~fault =
     let tally = Outcome.tally_create () in
@@ -668,7 +667,7 @@ let recovery_table ?(trials = 12) () =
   Printf.printf
     "(recovery latency = re-execution distance back to the detection \
      point plus the restore stall; replay rows recover an unreplicated \
-     primary from chunk-start checkpoints after an asynchronous checker \
+     primary from chunk-start cuts after an asynchronous checker \
      verdict; scaled trial counts as in EXPERIMENTS.md)\n%!";
   !uncontrolled_total + !replay_failures
 

@@ -45,6 +45,18 @@ val recovery_trial :
     interp/blocks differential suite runs the same trial on both and
     requires identical results. *)
 
+val replay_recovery_trial :
+  ?exec_backend:Rcoe_core.Config.exec_backend ->
+  fault:[ `Transient | `Persistent ] ->
+  seed:int ->
+  unit ->
+  Rcoe_faults.Outcome.t * int * int * float list
+(** The same trial on an unreplicated primary under replay detection
+    (exposed for tests): a checker's chunk verdict detects the
+    corruption and the primary rolls back to the chunk's start. Returns
+    what {!recovery_trial} returns; checkpoints taken counts chunk
+    cuts. *)
+
 val recovery_table : ?trials:int -> unit -> int
 (** The fail-stop vs fail-recover comparison: identical DMR
     configurations and faults, with and without a checkpoint ring

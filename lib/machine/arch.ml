@@ -13,6 +13,8 @@ type profile = {
   breakpoint_set_cost : int;
   vm_exit_cost : int;
   rep_walk_cost : int;
+  pte_scan_cost : int;
+  removal_cost : int;
   mem_extra_cycles : int;
   bus_rate : float;
   jitter_p : float;
@@ -34,6 +36,8 @@ let x86 =
     breakpoint_set_cost = 40;
     vm_exit_cost = 1400;
     rep_walk_cost = 400;
+    pte_scan_cost = 850;
+    removal_cost = 24_000;
     mem_extra_cycles = 0;
     bus_rate = 2.0;
     jitter_p = 0.012;
@@ -56,6 +60,8 @@ let arm =
     vm_exit_cost = 0;
     (* seL4 on this Arm platform does not support hypervisor mode. *)
     rep_walk_cost = 0;
+    pte_scan_cost = 1250;
+    removal_cost = 21_000;
     mem_extra_cycles = 1;
     bus_rate = 1.6;
     jitter_p = 0.013;

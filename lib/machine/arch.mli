@@ -41,6 +41,12 @@ type profile = {
   rep_walk_cost : int;
       (** Software walk of guest page tables needed to recognise a
           rep-string instruction at a prospective breakpoint in a VM. *)
+  pte_scan_cost : int;
+      (** Per virtual page: a newly promoted primary scans its page
+          table for DMA-marked entries (error masking, Section IV-A). *)
+  removal_cost : int;
+      (** Shutting down a faulty non-primary replica's core on a
+          downgrade. *)
   mem_extra_cycles : int;  (** Extra cycles per data-memory access. *)
   bus_rate : float;  (** Memory-bus word-transfers per cycle. *)
   jitter_p : float;  (** Per-instruction probability of a stall. *)

@@ -29,17 +29,13 @@ type snap = {
 
 type t = {
   depth : int;
-  mutable snaps : snap list;
-      (* newest first; length <= depth unless pins defer eviction *)
+  mutable snaps : snap list;  (* newest first; length <= depth *)
   mutable taken : int;
-  mutable pins : (snap * int ref) list;
-      (* physical-identity refcounts; non-empty only while a consumer
-         (replay checker, diagnostic) holds a snapshot handle *)
 }
 
 let create ~depth =
   if depth < 1 then invalid_arg "Checkpoint.create: depth must be >= 1";
-  { depth; snaps = []; taken = 0; pins = [] }
+  { depth; snaps = []; taken = 0 }
 
 let depth t = t.depth
 let count t = List.length t.snaps
@@ -106,35 +102,15 @@ let fold_into ~evicted snap =
         snap.s_replicas;
   }
 
-let pinned t snap = List.exists (fun (s, _) -> s == snap) t.pins
-
-let pin t snap =
-  match List.find_opt (fun (s, _) -> s == snap) t.pins with
-  | Some (_, r) -> incr r
-  | None -> t.pins <- (snap, ref 1) :: t.pins
-
-(* Eviction folds the oldest snapshot's arrays into its successor —
-   mutating the one and replacing the other — so both are off-limits
-   while any consumer holds a handle to them. Pinned tails simply defer
-   eviction: the ring grows past [depth] and shrinks back as soon as the
-   pins are released. *)
+(* Eviction folds the oldest snapshot's arrays into its successor,
+   which becomes the new self-contained base. *)
 let rec shrink t =
   if List.length t.snaps > t.depth then
     match List.rev t.snaps with
-    | oldest :: next :: rest
-      when (not (pinned t oldest)) && not (pinned t next) ->
+    | oldest :: next :: rest ->
         t.snaps <- List.rev (fold_into ~evicted:oldest next :: rest);
         shrink t
     | _ -> ()
-
-let unpin t snap =
-  match List.find_opt (fun (s, _) -> s == snap) t.pins with
-  | None -> invalid_arg "Checkpoint.unpin: snapshot is not pinned"
-  | Some (_, r) ->
-      decr r;
-      if !r = 0 then
-        t.pins <- List.filter (fun (s, _) -> not (s == snap)) t.pins;
-      shrink t
 
 let push t snap =
   t.snaps <- snap :: t.snaps;
@@ -156,6 +132,9 @@ let total_words s =
     (region_len s.s_shared + region_len s.s_dma)
     s.s_replicas
 
+(* Words of the region [base, base + len) in the dirty page at [page]. *)
+let page_words ~base ~len page = min Mem.page_size (len - (page - base))
+
 let capture_region mem ~kind ~base ~len =
   match kind with
   | Full -> R_full (Mem.read_block mem base len)
@@ -163,12 +142,33 @@ let capture_region mem ~kind ~base ~len =
       let r_pages =
         List.map
           (fun page ->
-            let off = page - base in
-            let blen = min Mem.page_size (len - off) in
-            (off, Mem.read_block mem page blen))
+            (page - base, Mem.read_block mem page (page_words ~base ~len page)))
           (Mem.snapshot_dirty mem ~addr:base ~len)
       in
       R_delta { r_len = len; r_pages }
+
+let delta_size mem (lay : Layout.t) ~rids =
+  let sh = lay.Layout.shared in
+  let regions =
+    (sh.Layout.s_base, sh.Layout.s_words)
+    :: (lay.Layout.dma_base, lay.Layout.dma_words)
+    :: List.map
+         (fun rid ->
+           let p = lay.Layout.partitions.(rid) in
+           (p.Layout.p_base, p.Layout.p_words))
+         rids
+  in
+  let copied, total =
+    List.fold_left
+      (fun (copied, total) (base, len) ->
+        ( List.fold_left
+            (fun n page -> n + page_words ~base ~len page)
+            copied
+            (Mem.snapshot_dirty mem ~addr:base ~len),
+          total + len ))
+      (0, 0) regions
+  in
+  (copied, total - copied)
 
 let capture ?(clear_dirty = true) mem (lay : Layout.t) ~kind ~cycle ~round_seq
     ~ticks ~prim ~replicas =

@@ -30,7 +30,11 @@
     into its successor in O(delta) time, reusing the base's arrays.
 
     The engine above owns policy (when to capture, retry budgets,
-    costs); this module owns the data. Device-internal state (e.g. the
+    costs); this module owns the data. Only lockstep detection keeps a
+    ring: replay detection freezes each chunk's start as one private
+    cut (its checkers restore it, and so does the primary's rollback)
+    and uses {!delta_size} only to price that cut's stall.
+    Device-internal state (e.g. the
     network device's queues) is outside the sphere of replication and
     is deliberately not captured — recovery campaigns use compute
     workloads.
@@ -86,25 +90,8 @@ val push : t -> snap -> unit
 (** Store as newest. When the ring is full the oldest snapshot is
     evicted and folded into its successor, which becomes the new
     self-contained base (its arrays absorb the evicted base's, so the
-    fold is O(delta)). Eviction is deferred while either of the two
-    oldest snapshots is pinned (see {!pin}): the ring then grows past
-    [depth] and shrinks back when the pins release. *)
-
-val pin : t -> snap -> unit
-(** Hold [snap] against eviction. Folding mutates the evicted base's
-    arrays in place and replaces its successor record, both of which
-    silently invalidate a handle a long-running consumer (a replay
-    checker verifying a chunk, a diagnostic resolving an old image)
-    still holds — so such a consumer must pin the snapshot for as long
-    as it keeps the handle. Pins are refcounted per snapshot (physical
-    identity). *)
-
-val unpin : t -> snap -> unit
-(** Release one {!pin}. When the last pin on a tail snapshot drops, any
-    deferred evictions run immediately. Raises [Invalid_argument] if
-    [snap] is not pinned. *)
-
-val pinned : t -> snap -> bool
+    fold is O(delta)). A handle to either of the two oldest snapshots
+    is therefore invalid after a [push] that evicts. *)
 
 val newest : t -> snap option
 
@@ -142,6 +129,14 @@ val capture :
     against the same tracking, so capture [Full] into an empty ring.
     Clears the dirty flags afterwards unless [clear_dirty:false]
     (which lets a differential harness capture the same cut twice). *)
+
+val delta_size :
+  Rcoe_machine.Mem.t -> Rcoe_kernel.Layout.t -> rids:int list -> int * int
+(** [(words, skipped_words)] a [Delta] {!capture} of the partitions of
+    [rids] plus the shared and DMA regions would record right now,
+    without copying anything or clearing the dirty flags. Lets a caller
+    that keeps its own copy of the cut price its capture stall the same
+    way. *)
 
 val restore_memory : Rcoe_machine.Mem.t -> Rcoe_kernel.Layout.t -> t -> snap -> unit
 (** Blit every captured partition, the shared region and the DMA window

@@ -127,18 +127,20 @@ type t = {
       (** Bounded ring of retained checkpoints (>= 1). Depth >= 2 lets
           recovery escalate past a snapshot that itself froze in the
           fault (captured after the vote but before the corruption was
-          detectable). *)
+          detectable). Unused under [Replay]. *)
   checkpoint_mode : checkpoint_mode;
       (** Capture strategy; default [Incremental]. *)
   max_rollbacks : int;
       (** Total rollback budget per run (>= 1). A persistent fault
-          exhausts it and the system fail-stops as before. *)
+          exhausts it and the system fail-stops as before. Under
+          [Replay] a rollback also needs a verified chunk since the
+          previous one. *)
   exec_backend : exec_backend;
       (** Execution backend for every replica; default [Interp]. *)
   detection : detection;
       (** Detection strategy; default [Lockstep]. [Replay] requires
-          [mode = Base] and [checkpoint_every = 0] (chunks cut their own
-          checkpoints). *)
+          [mode = Base] and [checkpoint_every = 0] (each chunk's frozen
+          start is its recovery point). *)
   replay_chunk_ticks : int;
       (** Replay chunk length in preemption ticks (>= 1, default 1):
           a chunk spans [replay_chunk_ticks * tick_interval] cycles. *)

@@ -2,14 +2,16 @@
    [Config.detection]).
 
    The primary runs *unreplicated*, at near-Base speed, under the
-   sequential engine's stepping rules (bursts included). Every
-   [replay_chunk_ticks] preemption ticks it cuts a chunk: a delta
-   checkpoint into the ring, a frozen [cut_state], and the input log
-   drained since the previous cut. Closed chunks enter a bounded
-   in-flight queue; checker domains concurrently restore each chunk's
-   start into a private shadow system, re-execute it — re-injecting the
-   logged host inputs at the recorded cycles — and compare the
-   end-of-chunk Fletcher signature over the replicated memory.
+   sequential engine's stepping rules (bursts included: [run] is
+   [Engine_seq.run] with the cut as its per-iteration step). Every
+   [replay_chunk_ticks] preemption ticks it cuts a chunk: a frozen
+   [cut_state] (the chunk's start, and the one copy of it) and the
+   input log drained since the previous cut. Closed chunks enter a
+   bounded in-flight queue; checker domains concurrently restore each
+   chunk's start into a private shadow system, re-execute it —
+   re-injecting the logged host inputs at the recorded cycles — and
+   compare the end-of-chunk Fletcher signature over the replicated
+   memory.
 
    Detection is therefore asynchronous: a fault inside chunk [j] is
    discovered when [j]'s verdict is processed, at most
@@ -20,22 +22,19 @@
    simulated clock is untouched, so backpressure never perturbs the
    machine's determinism).
 
-   On a mismatch the chunk's pinned start snapshot is made the newest
-   ring entry and recovery goes through the existing budgeted
-   [try_rollback] escalation path; on top of the memory/kernel rewind
-   the engine also restores the outside-SoR state replay froze at the
-   cut (device queues, bus credit, jitter RNG), so re-execution re-lives
-   the same timeline minus the (un-reinjected) fault. The pipeline then
-   resets: in-flight chunks are discarded, the ring is re-seeded with a
-   fresh full capture, and the input log restarts — inputs absorbed
-   after the rollback point are lost, exactly like frames a rebooting
-   NIC drops, and the serving harness's client retransmission recovers
-   them. *)
+   On a mismatch the primary restores the chunk's start cut, as its
+   checker did — memory, kernel and the outside-SoR state (device
+   queues, bus credit, jitter RNG) — so re-execution re-lives the same
+   timeline minus the (un-reinjected) fault. It gets one such rollback
+   per verified chunk, within [max_rollbacks]; otherwise it
+   fail-stops. The pipeline then resets: in-flight chunks are
+   discarded and the input log restarts — inputs absorbed after the
+   rollback point are lost, exactly like frames a rebooting NIC drops,
+   and the serving harness's client retransmission recovers them. *)
 
 open Rcoe_machine
 open Rcoe_kernel
 open Sched
-module Rng = Rcoe_util.Rng
 
 let shadow_config cfg =
   {
@@ -117,47 +116,28 @@ let release_shadow rp inf =
   | None -> ()
 
 (* Capture the current quiescent point as the next chunk boundary:
-   charge the capture stall, push + pin the delta snapshot, freeze the
-   cut, close the accumulating chunk into the in-flight queue, and
-   enforce the queue bound (blocking on the oldest verdict —
-   backpressure). *)
+   charge the capture stall, freeze the cut, close the accumulating
+   chunk into the in-flight queue, and enforce the queue bound
+   (blocking on the oldest verdict — backpressure). The stall is priced
+   as a delta checkpoint of the pages dirtied since the previous cut,
+   the copy a cut costs on hardware with page-granular dirty bits. *)
 let rec do_cut t rp =
-  let ring = rp.rp_ring in
-  let r = t.replicas.(0) in
   (* The capture stall must be charged before the cut is frozen: the
      restored start state of the *next* chunk has to contain it, or a
      replay of that chunk would run ahead of the primary's timeline. *)
-  let kind =
-    if Checkpoint.count ring = 0 then Checkpoint.Full else Checkpoint.Delta
-  in
-  let snap =
-    Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
-      ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-      ~replicas:[ (0, r.kern, r.finished) ]
-  in
-  Checkpoint.push ring snap;
-  Checkpoint.pin ring snap;
-  let words = Checkpoint.words snap in
-  let skipped = Checkpoint.skipped_words snap in
-  let cost = ckpt_copy_cost words in
-  charge r cost;
-  Metrics.incr t.ms.m_ckpt_taken;
-  Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
-  Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
-  Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
-  Trace.checkpoint t.trace ~words ~skipped ~cost;
-  let cut = replay_cut_state t in
+  let words, skipped = Checkpoint.delta_size (mem t) t.lay ~rids:[ 0 ] in
+  Mem.clear_dirty (mem t);
+  let stall = charge_capture t [ t.replicas.(0) ] ~words ~skipped in
+  let cut = replay_cut_state t ~stall in
   let closed =
     {
       ch_seq = rp.rp_seq;
       ch_start = rp.rp_cut;
-      ch_snap = rp.rp_snap;
       ch_log = Inputlog.cut rp.rp_log;
       ch_end = cut;
     }
   in
   rp.rp_cut <- cut;
-  rp.rp_snap <- snap;
   rp.rp_seq <- rp.rp_seq + 1;
   (* Schedule relative to the actual cut tick: a cut the quiescence
      guard delayed must not make the next one degenerate. *)
@@ -189,9 +169,7 @@ let rec do_cut t rp =
   done
 
 (* Process the oldest in-flight chunk's verdict, blocking until its
-   checker finishes. Verdicts are processed strictly in chunk order,
-   which is also what keeps the pin/unpin discipline safe: a snapshot
-   is unpinned only once every consumer of its chunk is done. *)
+   checker finishes. Verdicts are processed strictly in chunk order. *)
 and harvest_oldest t rp =
   match rp.rp_inflight with
   | [] -> ()
@@ -214,85 +192,46 @@ and harvest_oldest t rp =
         ~lag ~ok;
       if ok then begin
         Metrics.incr t.ms.m_replay_verified;
-        Checkpoint.unpin rp.rp_ring ch.ch_snap;
-        (* A verified chunk is forward progress: reset the rollback
-           escalation, as a verified lockstep checkpoint would. *)
-        t.retries_at_newest <- 0;
-        t.escalations <- 0;
+        (* A verified chunk is forward progress: the next mismatch may
+           roll back again. *)
+        rp.rp_retrying <- false;
         assign_checkers t rp
       end
       else begin
         Metrics.incr t.ms.m_replay_mismatch;
-        on_mismatch t rp inf rest
+        on_mismatch t rp ch rest
       end
 
 (* A replayed chunk diverged: everything from its start cycle on is
    suspect. Discard the invalid future (in-flight chunks and the
-   accumulating one), rewind to the chunk's start through the budgeted
-   rollback path, and reset the pipeline. *)
-and on_mismatch t rp inf rest =
+   accumulating one) and either roll back to the chunk's start or
+   fail-stop. The policy: one rollback per verified chunk, within the
+   [max_rollbacks] budget. A second mismatch before any chunk verifies
+   means re-execution from a clean start diverged again — under replay
+   the fault is deterministic, and retrying cannot help. *)
+and on_mismatch t rp ch rest =
   log_event t E_mismatch;
   List.iter
     (fun i ->
       (match i.if_domain with Some d -> ignore (Domain.join d) | None -> ());
-      release_shadow rp i;
-      Checkpoint.unpin rp.rp_ring i.if_chunk.ch_snap)
+      release_shadow rp i)
     rest;
   rp.rp_inflight <- [];
-  Checkpoint.unpin rp.rp_ring rp.rp_snap;
   Inputlog.clear rp.rp_log;
-  (* Make the mismatched chunk's start the newest ring entry — the
-     entries above it all belonged to the discarded future and are
-     unpinned now. *)
-  let target = inf.if_chunk.ch_snap in
-  while
-    match Checkpoint.newest rp.rp_ring with
-    | Some s -> not (s == target)
-    | None -> false
-  do
-    Checkpoint.drop_newest rp.rp_ring
-  done;
-  if try_rollback t then begin
-    (* [perform_rollback] rewound the replicated cut; additionally
-       rewind the outside-SoR state replay froze, so re-execution
-       re-lives the chunk's exact timeline (device deliveries and
-       timing jitter included) minus the fault. Host inputs recorded
-       after the chunk started are gone with the cleared log; the
+  if t.rollbacks_done < t.cfg.Config.max_rollbacks && not rp.rp_retrying
+  then begin
+    (* Re-execution re-lives the chunk's exact timeline (device
+       deliveries and timing jitter included) minus the fault. Host
+       inputs recorded after the chunk started are gone with the
+       cleared log, exactly like frames a rebooting NIC drops; the
        serving client's retransmission path redelivers them. *)
-    let cs = inf.if_chunk.ch_start in
-    let core = Kernel.core t.replicas.(0).kern in
-    core.Core.cycles <- cs.cs_cycles;
-    core.Core.instret <- cs.cs_instret;
-    Rng.assign ~dst:core.Core.jitter ~src:cs.cs_jitter;
-    Bus.set_state t.mach.Machine.buses.(0) cs.cs_bus;
-    (match (t.net, cs.cs_net) with
-    | Some nd, Some sn -> Netdev.restore nd sn
-    | _ -> ());
-    t.halt <- None;
-    (* Pipeline reset: empty the ring and re-seed it with a fresh full
-       capture of the rolled-back state, which also re-baselines the
-       dirty-page tracking for the next delta. *)
-    Checkpoint.unpin rp.rp_ring target;
-    while Checkpoint.count rp.rp_ring > 0 do
-      Checkpoint.drop_newest rp.rp_ring
-    done;
-    let r = t.replicas.(0) in
-    let snap =
-      Checkpoint.capture (mem t) t.lay ~kind:Checkpoint.Full ~cycle:(now t)
-        ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-        ~replicas:[ (0, r.kern, r.finished) ]
-    in
-    Checkpoint.push rp.rp_ring snap;
-    Checkpoint.pin rp.rp_ring snap;
-    rp.rp_cut <- replay_cut_state t;
-    rp.rp_snap <- snap;
+    rp.rp_retrying <- true;
+    replay_rollback t ch.ch_start;
+    rp.rp_cut <- replay_cut_state t ~stall:0;
     rp.rp_seq <- rp.rp_seq + 1;
     rp.rp_next_cut <- t.ticks + t.cfg.Config.replay_chunk_ticks
   end
-  else if t.halt = None then
-    (* Budget exhausted or the ring gave out: persistent fault,
-       fail-stop — the lockstep path's verdict for the same state. *)
-    halt_system t H_mismatch
+  else if t.halt = None then halt_system t H_mismatch
 
 (* A cut needs a quiescent primary: the frozen [cut_state] records
    none of the engine's round bookkeeping (an open FT-op rendezvous,
@@ -325,11 +264,12 @@ let drain t =
         harvest_oldest t rp
       done
 
-(* The replay run loop: the sequential engine's loop with chunk cuts at
-   tick boundaries, plus a drain of the verification pipeline when the
-   run reaches a terminal state. A drain can itself detect a mismatch
-   and roll the system back to a live state, in which case execution
-   resumes within the same call (budget permitting). *)
+(* The replay run loop: the sequential engine's loop with a chunk cut
+   at each tick boundary the primary reaches quiescent, plus a drain of
+   the verification pipeline when the run reaches a terminal state. A
+   drain can itself detect a mismatch and roll the system back to a
+   live state, in which case execution resumes within the same call
+   (budget permitting). *)
 let run ?stop t ~max_cycles =
   let rp =
     match t.rp with
@@ -337,36 +277,18 @@ let run ?stop t ~max_cycles =
     | None -> invalid_arg "Engine_replay.run: detection is not Replay"
   in
   let start = now t in
-  let continue_ = ref true in
-  let again = ref true in
-  while !again do
-    again := false;
-    while
-      !continue_ && t.halt = None
-      && (not (finished t))
-      && now t - start < max_cycles
-    do
-      if t.ticks >= rp.rp_next_cut && quiescent t then do_cut t rp;
-      if t.halt = None && not (finished t) then begin
-        let budget = max_cycles - (now t - start) in
-        let budget =
-          match stop with
-          | Some _ -> min budget (128 - (now t land 127))
-          | None -> budget
-        in
-        if burst_cycles t ~budget = 0 then classic_cycle t;
-        match stop with
-        | Some f when now t land 127 = 0 -> if f t then continue_ := false
-        | _ -> ()
-      end
-    done;
+  let stopped = ref false in
+  let stop = Option.map (fun f t -> f t && (stopped := true; true)) stop in
+  let cut t = if t.ticks >= rp.rp_next_cut && quiescent t then do_cut t rp in
+  let rec go () =
+    Engine_seq.run ?stop ~step:cut t ~max_cycles:(max_cycles - (now t - start));
     (* Terminal drain: when the guest finished or the system halted,
        close the final (partial) chunk and process every outstanding
        verdict, so no fault escapes in the pipeline's tail. Skipped on
        budget/stop exhaustion — the pipeline keeps flowing across [run]
        calls. *)
     if
-      !continue_
+      (not !stopped)
       && (finished t || t.halt <> None)
       && (rp.rp_inflight <> []
          || rp.rp_cut.cs_cycle < now t
@@ -378,10 +300,8 @@ let run ?stop t ~max_cycles =
       done;
       (* A drain-time mismatch rolled the system back to a live state:
          keep executing if this call still has budget. *)
-      if
-        t.halt = None
-        && (not (finished t))
-        && now t - start < max_cycles
-      then again := true
+      if t.halt = None && (not (finished t)) && now t - start < max_cycles
+      then go ()
     end
-  done
+  in
+  go ()

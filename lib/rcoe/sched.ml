@@ -197,14 +197,13 @@ and async_round = {
 (* ---------------------------------------------------------------------- *)
 
 (* A chunk cut: everything a shadow machine needs to restart execution
-   at this exact point, bit for bit. The ring snapshot covers the
-   replicated memory cut; the fields here additionally freeze the
-   outside-SoR state the ring deliberately does not capture — device
-   queues, the floating-point bus credit, the jitter RNG — which replay
-   needs but lockstep rollback does not (re-execution after a lockstep
-   rollback is *new* time; a replayed chunk re-lives the *same* time).
-   All arrays are private copies resolved on the primary's domain at cut
-   time, so checker domains never touch the (mutable) checkpoint ring. *)
+   at this exact point, bit for bit, and the one recovery point the
+   primary rolls back to. Besides the replicated memory and kernel it
+   freezes the outside-SoR state a lockstep checkpoint deliberately
+   does not capture — device queues, the floating-point bus credit, the
+   jitter RNG — which a replayed chunk needs to re-live the *same* time.
+   All arrays are private copies taken on the primary's domain, so
+   checker domains share nothing mutable with it. *)
 type cut_state = {
   cs_cycle : int;
   cs_ticks : int;
@@ -212,6 +211,7 @@ type cut_state = {
   cs_next_tick : int;
   cs_finished : bool;
   cs_kernel : Kernel.snapshot;  (* taken after the cut's stall charge *)
+  cs_stall : int;  (* that charge: a rollback to the cut does not repay it *)
   cs_part : int array;  (* primary partition image *)
   cs_shared : int array;
   cs_dma : int array;
@@ -229,7 +229,6 @@ type cut_state = {
 type chunk = {
   ch_seq : int;
   ch_start : cut_state;
-  ch_snap : Checkpoint.snap;  (* pinned ring entry at [ch_start] *)
   ch_log : Inputlog.event list;
   ch_end : cut_state;
 }
@@ -296,12 +295,11 @@ and inflight = {
    primary-domain-only; the only cross-domain traffic is the immutable
    chunk handed to [Domain.spawn] and the [bool] verdict joined back. *)
 and replay = {
-  rp_ring : Checkpoint.t;
   rp_log : Inputlog.t;
   rp_span : int;  (* nominal chunk length, cycles *)
   mutable rp_seq : int;  (* sequence number of the accumulating chunk *)
   mutable rp_cut : cut_state;  (* its start *)
-  mutable rp_snap : Checkpoint.snap;  (* its pinned start snapshot *)
+  mutable rp_retrying : bool;  (* rolled back since the last verified chunk *)
   mutable rp_next_cut : int;  (* tick count that triggers the next cut *)
   mutable rp_inflight : inflight list;  (* oldest first *)
   mutable rp_shadows : t list;  (* idle shadow systems *)
@@ -395,8 +393,7 @@ let downgrades t = t.downgrade_log
 
 let rollbacks t = t.rollback_log
 
-let checkpoints_taken t =
-  match t.ckpts with Some ck -> Checkpoint.taken ck | None -> 0
+let checkpoints_taken t = Metrics.count t.ms.m_ckpt_taken
 let events t = t.event_log
 let tick_count t = t.ticks
 let output t rid = Buffer.contents (Kernel.output t.replicas.(rid).kern)
@@ -517,10 +514,10 @@ let replay_region_sig t =
 
 (* Freeze the complete execution point. Runs on the primary's domain at
    a quiescent inter-cycle boundary; the copies it takes are what lets
-   checker domains work without ever touching live or ring state. Call
-   only after any stall for the cut itself has been charged, so the
-   frozen core state already contains it. *)
-let replay_cut_state t =
+   checker domains work without ever touching live state. Call only
+   after the [stall] for the cut itself has been charged, so the frozen
+   core state already contains it. *)
+let replay_cut_state t ~stall =
   let r = t.replicas.(0) in
   let core = Kernel.core r.kern in
   let p = t.lay.Layout.partitions.(0) in
@@ -532,6 +529,7 @@ let replay_cut_state t =
     cs_next_tick = t.next_tick;
     cs_finished = r.finished;
     cs_kernel = Kernel.snapshot r.kern;
+    cs_stall = stall;
     cs_part = Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words;
     cs_shared = Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words;
     cs_dma =
@@ -544,11 +542,9 @@ let replay_cut_state t =
     cs_sig = replay_region_sig t;
   }
 
-(* Restore a cut into [sys] — the shadow side of [replay_cut_state],
-   also used to rewind the primary's outside-SoR state after a
-   replay-detected rollback. Leaves [sys] exactly as the captured
-   system stood at the cut, ready to re-execute the chunk. *)
-let replay_restore_cut sys (cs : cut_state) =
+(* Restore a cut's replicated memory, kernel, core and outside-SoR
+   state into [sys], leaving its clocks alone. *)
+let restore_cut sys (cs : cut_state) =
   let r = sys.replicas.(0) in
   let p = sys.lay.Layout.partitions.(0) in
   let sh = sys.lay.Layout.shared in
@@ -560,6 +556,8 @@ let replay_restore_cut sys (cs : cut_state) =
   r.pending_ft <- None;
   r.joined <- false;
   r.defer_publish <- false;
+  r.arrived_at <- -1;
+  r.move_started <- -1;
   r.state <- Rs_run;
   let core = Kernel.core r.kern in
   core.Core.cycles <- cs.cs_cycles;
@@ -570,12 +568,18 @@ let replay_restore_cut sys (cs : cut_state) =
   | Some nd, Some sn -> Netdev.restore nd sn
   | _ -> ());
   Machine.clear_ipi sys.mach ~core_id:0;
-  sys.mach.Machine.now <- cs.cs_cycle;
-  sys.next_tick <- cs.cs_next_tick;
   sys.ticks <- cs.cs_ticks;
   sys.round_seq <- cs.cs_round_seq;
   sys.phase <- Ph_idle;
   sys.halt <- None
+
+(* The shadow side of [replay_cut_state]: leave [sys] exactly as the
+   captured system stood at the cut, clocks included, ready to
+   re-execute the chunk. *)
+let replay_restore_cut sys (cs : cut_state) =
+  restore_cut sys cs;
+  sys.mach.Machine.now <- cs.cs_cycle;
+  sys.next_tick <- cs.cs_next_tick
 
 (* ---------------------------------------------------------------------- *)
 (* Construction                                                            *)
@@ -772,11 +776,8 @@ let create ~config:cfg ~program =
       reintegration_log = [];
       event_log_len = 0;
       ckpts =
-        (* Replay detection owns the ring too: chunk-start snapshots
-           live in it so a mismatch rolls back through the same
-           budgeted [try_rollback] escalation as a lockstep vote. *)
-        (if cfg.Config.checkpoint_every > 0 || cfg.Config.detection = Config.Replay
-         then Some (Checkpoint.create ~depth:cfg.Config.checkpoint_depth)
+        (if cfg.Config.checkpoint_every > 0 then
+           Some (Checkpoint.create ~depth:cfg.Config.checkpoint_depth)
          else None);
       rounds_since_ckpt = 0;
       rollbacks_done = 0;
@@ -873,13 +874,10 @@ let create ~config:cfg ~program =
   Machine.route_irqs_to mach t.prim;
   (* Replay-based detection: log every host inject from the first
      cycle (the harness may feed the device before it first runs the
-     system), and take the cycle-0 base checkpoint the first chunk is
-     relative to. Shadow systems are created lazily by
-     [Engine_replay]. *)
+     system), and start write tracking afresh: the first cut's stall is
+     priced on the pages dirtied since cycle 0. Shadow systems are
+     created lazily by [Engine_replay]. *)
   if cfg.Config.detection = Config.Replay then begin
-    let ring =
-      match t.ckpts with Some ck -> ck | None -> assert false
-    in
     let ilog = Inputlog.create () in
     (match net with
     | Some nd ->
@@ -888,23 +886,15 @@ let create ~config:cfg ~program =
             Inputlog.record ilog ~at:(now t) ~deliver_at payload)
           ()
     | None -> ());
-    let r0 = t.replicas.(0) in
-    let snap =
-      Checkpoint.capture (mem t) lay ~kind:Checkpoint.Full ~cycle:(now t)
-        ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-        ~replicas:[ (0, r0.kern, r0.finished) ]
-    in
-    Checkpoint.push ring snap;
-    Checkpoint.pin ring snap;
+    Mem.clear_dirty (mem t);
     t.rp <-
       Some
         {
-          rp_ring = ring;
           rp_log = ilog;
           rp_span = cfg.Config.replay_chunk_ticks * cfg.Config.tick_interval;
           rp_seq = 0;
-          rp_cut = replay_cut_state t;
-          rp_snap = snap;
+          rp_cut = replay_cut_state t ~stall:0;
+          rp_retrying = false;
           rp_next_cut = cfg.Config.replay_chunk_ticks;
           rp_inflight = [];
           rp_shadows = [];
@@ -1156,15 +1146,9 @@ let promote_new_primary t new_prim =
   t.prim <- new_prim;
   Machine.route_irqs_to t.mach new_prim;
   let cc_factor = if t.cfg.Config.mode = Config.CC then 5 else 1 in
-  let pte_scan =
-    match p.Arch.arch with Arch.X86 -> 850 | Arch.Arm -> 1250
-  in
-  (Layout.va_pages * pte_scan * cc_factor)
+  (Layout.va_pages * p.Arch.pte_scan_cost * cc_factor)
   + (List.length marked * 2000 * cc_factor)
   + 30_000
-
-let removal_cost t =
-  match (profile t).Arch.arch with Arch.X86 -> 24_000 | Arch.Arm -> 21_000
 
 let downgrade t faulty =
   let r = t.replicas.(faulty) in
@@ -1177,7 +1161,7 @@ let downgrade t faulty =
         List.fold_left min max_int (live t)
       in
       promote_new_primary t new_prim
-    else removal_cost t
+    else (profile t).Arch.removal_cost
   in
   List.iter (fun s -> charge s cost) (live_replicas t);
   tp_end t r;
@@ -1225,6 +1209,18 @@ let publish_signatures t =
    they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
 let ckpt_copy_cost words = (words / 32) + 2_000
 
+(* Charge a capture of [words] copied and [skipped] clean words to
+   [replicas] and account it; returns the stall. *)
+let charge_capture t replicas ~words ~skipped =
+  let cost = ckpt_copy_cost words in
+  List.iter (fun r -> charge r cost) replicas;
+  Metrics.incr t.ms.m_ckpt_taken;
+  Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
+  Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
+  Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
+  Trace.checkpoint t.trace ~words ~skipped ~cost;
+  cost
+
 let take_checkpoint t ck =
   let lv = live_replicas t in
   (* The ring's base must be self-contained, so the first capture is
@@ -1244,25 +1240,15 @@ let take_checkpoint t ck =
   (* A fresh verified snapshot is forward progress: reset escalation. *)
   t.retries_at_newest <- 0;
   t.escalations <- 0;
-  let words = Checkpoint.words snap in
-  let skipped = Checkpoint.skipped_words snap in
-  let cost = ckpt_copy_cost words in
-  List.iter (fun r -> charge r cost) lv;
-  Metrics.incr t.ms.m_ckpt_taken;
-  Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
-  Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
-  Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
-  Trace.checkpoint t.trace ~words ~skipped ~cost
+  ignore
+    (charge_capture t lv ~words:(Checkpoint.words snap)
+       ~skipped:(Checkpoint.skipped_words snap))
 
 (* Runs at the end of every successfully voted round (the only verified
    quiescent points). *)
 let maybe_checkpoint t =
   match t.ckpts with
   | None -> ()
-  (* Under replay detection the ring is fed by the chunk cuts
-     ([Engine_replay.do_cut]); round-interval captures would interleave
-     unpinned snapshots with the pinned chunk starts. *)
-  | Some _ when t.cfg.Config.detection = Config.Replay -> ()
   | Some ck ->
       if t.halt = None && not (finished t) then begin
         t.rounds_since_ckpt <- t.rounds_since_ckpt + 1;
@@ -1311,6 +1297,23 @@ let perform_rollback t ck (snap : Checkpoint.snap) =
   List.iter (fun r -> charge r cost) (live_replicas t);
   cost
 
+(* Rollback bookkeeping shared by both detection modes: [restore]
+   rewinds the system to the recovery point captured at [to_cycle] and
+   returns the restore stall. *)
+let record_rollback t ~to_cycle restore =
+  t.rollbacks_done <- t.rollbacks_done + 1;
+  observe_detection t;
+  let detected_at = now t in
+  let cost = restore () in
+  Metrics.incr t.ms.m_rollbacks;
+  (* Recovery latency: the re-execution distance plus the restore
+     stall. *)
+  Metrics.observe t.ms.m_recover_latency
+    (float_of_int (detected_at - to_cycle + cost));
+  Trace.rollback t.trace ~to_cycle ~cost;
+  t.rollback_log <- (detected_at, to_cycle) :: t.rollback_log;
+  log_event t (E_rollback to_cycle)
+
 (* Recovery policy: bounded retries with exponential escalation. The
    newest snapshot gets 2^n retries (n = escalations so far) before it
    is discarded as suspect — a fault that struck after the vote but
@@ -1332,23 +1335,32 @@ let try_rollback t =
         match Checkpoint.newest ck with
         | None -> false
         | Some snap ->
-            t.rollbacks_done <- t.rollbacks_done + 1;
             t.retries_at_newest <- t.retries_at_newest + 1;
-            observe_detection t;
-            let detected_at = now t in
-            let cost = perform_rollback t ck snap in
-            Metrics.incr t.ms.m_rollbacks;
-            (* Recovery latency: the re-execution distance plus the
-               restore stall. *)
-            Metrics.observe t.ms.m_recover_latency
-              (float_of_int
-                 (detected_at - snap.Checkpoint.s_cycle + cost));
-            Trace.rollback t.trace ~to_cycle:snap.Checkpoint.s_cycle ~cost;
-            t.rollback_log <-
-              (detected_at, snap.Checkpoint.s_cycle) :: t.rollback_log;
-            log_event t (E_rollback snap.Checkpoint.s_cycle);
+            record_rollback t ~to_cycle:snap.Checkpoint.s_cycle (fun () ->
+                perform_rollback t ck snap);
             true
       end
+
+(* Roll the replay primary back to the chunk start [cs]: its checkers'
+   restore, except that the wall clock keeps running (re-execution is
+   new time, as after [perform_rollback]) and the cut's own capture
+   stall, already inside [cs]'s kernel image, is not paid again. Write
+   tracking restarts, so the next cut is priced on what re-execution
+   dirties. *)
+let replay_rollback t (cs : cut_state) =
+  record_rollback t ~to_cycle:cs.cs_cycle (fun () ->
+      let r = t.replicas.(0) in
+      tp_end t r;
+      restore_cut t cs;
+      Mem.clear_dirty (mem t);
+      t.next_tick <- now t + t.cfg.Config.tick_interval;
+      let cost =
+        ckpt_copy_cost
+          (Array.length cs.cs_part + Array.length cs.cs_shared
+         + Array.length cs.cs_dma)
+      in
+      charge r (cost - cs.cs_stall);
+      cost)
 
 (* Handle a detected signature mismatch. Returns true if the system may
    continue (successful downgrade), false if it halted — or if it rolled

@@ -128,7 +128,6 @@ let replay_serve_config ~backend =
     replay_chunk_ticks = 2;
     replay_queue_depth = 3;
     replay_checkers = 2;
-    checkpoint_depth = 4;
     max_rollbacks = 3;
     exec_backend = backend;
   }

@@ -1,65 +1,26 @@
 (* Replay-based detection (Config.detection = Replay): the unreplicated
-   primary runs ahead cutting (delta-checkpoint, input-log) chunks that
-   checker domains re-execute and compare by memory digest. These tests
-   cover the checkpoint-ring pin discipline the pipeline depends on,
-   healthy-run verification, the transient-fault -> Recovered acceptance
-   scenario with its detection-lag bound, run-to-run and Interp/Blocks
-   determinism, and the replay metrics/trace surface. *)
+   primary runs ahead cutting (frozen start state, input-log) chunks
+   that checker domains re-execute and compare by memory digest. These
+   tests cover healthy-run verification, the transient-fault ->
+   Recovered acceptance scenario with its detection-lag bound, the
+   recovery policy (one rollback per verified chunk, within the
+   budget), run-to-run and Interp/Blocks determinism, and the replay
+   metrics/trace surface. *)
 
 open Rcoe_machine
 open Rcoe_core
 open Rcoe_workloads
 open Rcoe_harness
+module Outcome = Rcoe_faults.Outcome
 module Trace = Rcoe_obs.Trace
 module Metrics = Rcoe_obs.Metrics
 
 let x86 = Arch.X86
 
-(* --- checkpoint-ring pin discipline (regression) ------------------------- *)
-
-let mk_snap cycle =
-  {
-    Checkpoint.s_kind = Checkpoint.Full;
-    s_cycle = cycle;
-    s_round_seq = 0;
-    s_ticks = 0;
-    s_prim = 0;
-    s_shared = Checkpoint.R_full [||];
-    s_dma = Checkpoint.R_full [||];
-    s_replicas = [];
-    s_words = 0;
-    s_skipped_words = 0;
-  }
-
-let test_pin_refcount () =
-  (* A pinned tail defers eviction; pins are refcounted per snapshot, so
-     a double pin must survive a single unpin (the regression: a second
-     pin used to be forgotten, letting a fold invalidate a checker's
-     chunk mid-verification). *)
-  let ck = Checkpoint.create ~depth:2 in
-  let s1 = mk_snap 100 in
-  Checkpoint.push ck s1;
-  Checkpoint.pin ck s1;
-  Checkpoint.pin ck s1;
-  Checkpoint.push ck (mk_snap 200);
-  Checkpoint.push ck (mk_snap 300);
-  (* Eviction of the pinned oldest is deferred: the ring grows. *)
-  Alcotest.(check int) "ring grew past depth" 3 (Checkpoint.count ck);
-  Checkpoint.unpin ck s1;
-  Alcotest.(check bool) "still pinned after one unpin" true
-    (Checkpoint.pinned ck s1);
-  Alcotest.(check int) "still deferred" 3 (Checkpoint.count ck);
-  Checkpoint.unpin ck s1;
-  Alcotest.(check bool) "released" false (Checkpoint.pinned ck s1);
-  Alcotest.(check int) "deferred evictions ran" 2 (Checkpoint.count ck);
-  Alcotest.check_raises "unpin of unpinned raises"
-    (Invalid_argument "Checkpoint.unpin: snapshot is not pinned") (fun () ->
-      Checkpoint.unpin ck s1)
-
 (* --- configuration ------------------------------------------------------- *)
 
 let replay_config ?(chunk_ticks = 2) ?(queue_depth = 2) ?(checkers = 2)
-    ?(backend = Config.Interp) ?(depth = 4) ?(seed = 7) ?trace () =
+    ?(backend = Config.Interp) ?(seed = 7) ?(max_rollbacks = 6) ?trace () =
   {
     (Runner.config_for ~mode:Config.Base ~nreplicas:1 ~arch:x86 ~seed
        ~tick_interval:10_000 ())
@@ -68,8 +29,7 @@ let replay_config ?(chunk_ticks = 2) ?(queue_depth = 2) ?(checkers = 2)
     replay_chunk_ticks = chunk_ticks;
     replay_queue_depth = queue_depth;
     replay_checkers = checkers;
-    checkpoint_depth = depth;
-    max_rollbacks = 6;
+    max_rollbacks;
     exec_backend = backend;
     trace;
   }
@@ -173,6 +133,12 @@ let test_transient_fault_recovered () =
     (List.exists
        (fun (_, k) -> k = System.E_mismatch)
        (System.events sys));
+  (* The rollback's exact timeline: the restore stall is charged once
+     and the cut's own capture stall, already in the restored kernel
+     image, is not charged again (that would end 2032 cycles later). *)
+  Alcotest.(check (list (pair int int))) "rollback detected at, to"
+    [ (80_000, 40_000) ] (System.rollbacks sys);
+  Alcotest.(check int) "recovered run's final cycle" 204_485 (System.now sys);
   (* Recovered output is bit-for-bit the fault-free run's. *)
   let clean = replay_run () in
   Alcotest.(check string) "digest equals fault-free reference"
@@ -180,6 +146,64 @@ let test_transient_fault_recovered () =
   (* Fault runs are deterministic too. *)
   Alcotest.(check bool) "fault run deterministic" true
     (fingerprint sys = fingerprint (replay_run ~fault ()))
+
+(* --- recovery policy: one rollback per verified chunk, within budget ----- *)
+
+let test_recovery_policy_trials () =
+  (* A transient recovers with exactly one rollback to the mismatching
+     chunk's start, identically on both backends. *)
+  let transient backend =
+    Fault_experiments.replay_recovery_trial ~exec_backend:backend
+      ~fault:`Transient ~seed:1 ()
+  in
+  let ((outcome, rollbacks, _, _) as interp) = transient Config.Interp in
+  Alcotest.(check bool) "transient recovered" true
+    (outcome = Outcome.Recovered);
+  Alcotest.(check int) "transient: one rollback" 1 rollbacks;
+  Alcotest.(check bool) "interp = blocks" true
+    (interp = transient Config.Blocks);
+  (* A persistent fault mismatches again on the re-executed chunk before
+     any chunk verifies: no second retry, fail-stop. *)
+  let outcome, rollbacks, _, _ =
+    Fault_experiments.replay_recovery_trial ~fault:`Persistent ~seed:1 ()
+  in
+  Alcotest.(check bool) "persistent fail-stops on a mismatch" true
+    (outcome = Outcome.Signature_mismatch);
+  Alcotest.(check int) "persistent: one rollback" 1 rollbacks
+
+let test_rollback_budget () =
+  (* [max_rollbacks = 1]: a second transient, struck after a chunk
+     verified past the first recovery, finds the budget spent and
+     halts. *)
+  let sys =
+    System.create ~config:(replay_config ~max_rollbacks:1 ()) ~program:(md5 ())
+  in
+  let flip () =
+    let addr = System.sig_base sys 0 + 1 in
+    Mem.flip_bit (System.machine sys).Machine.mem ~addr ~bit:7;
+    Trace.injection (System.trace sys) ~addr ~bit:7
+  in
+  let rollbacks () = List.length (System.rollbacks sys) in
+  let live () = System.halted sys = None && not (System.finished sys) in
+  let run_until cond =
+    while live () && not (cond ()) do
+      System.run sys ~max_cycles:5_000
+    done
+  in
+  System.run sys ~max_cycles:60_000;
+  flip ();
+  run_until (fun () -> rollbacks () = 1);
+  Alcotest.(check int) "first transient rolled back" 1 (rollbacks ());
+  let verified = counter sys "replay.chunks_verified" in
+  run_until (fun () -> counter sys "replay.chunks_verified" > verified);
+  Alcotest.(check bool) "a chunk verified after the rollback" true
+    (counter sys "replay.chunks_verified" > verified && live ());
+  flip ();
+  System.run sys ~max_cycles:200_000_000;
+  Alcotest.(check bool) "second transient halts" true
+    (System.halted sys = Some System.H_mismatch);
+  Alcotest.(check int) "both detected" 2 (counter sys "replay.mismatches");
+  Alcotest.(check int) "still one rollback" 1 (rollbacks ())
 
 (* --- detection-lag bound ------------------------------------------------- *)
 
@@ -295,7 +319,6 @@ let test_replay_gauges () =
 
 let suite =
   [
-    Alcotest.test_case "checkpoint pin refcount" `Quick test_pin_refcount;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "healthy run verifies every chunk" `Quick
       test_healthy_run_verifies;
@@ -303,6 +326,9 @@ let suite =
       test_deterministic_across_runs_and_backends;
     Alcotest.test_case "transient fault recovered" `Quick
       test_transient_fault_recovered;
+    Alcotest.test_case "recovery policy trials" `Quick
+      test_recovery_policy_trials;
+    Alcotest.test_case "rollback budget" `Quick test_rollback_budget;
     Alcotest.test_case "detection-lag bound" `Quick test_detection_lag_bound;
     Alcotest.test_case "netted burst cycle identity" `Quick
       test_netted_burst_cycle_identity;
