@@ -30,16 +30,14 @@ type snap = {
 type t = {
   depth : int;
   mutable snaps : snap list;  (* newest first; length <= depth *)
-  mutable taken : int;
 }
 
 let create ~depth =
   if depth < 1 then invalid_arg "Checkpoint.create: depth must be >= 1";
-  { depth; snaps = []; taken = 0 }
+  { depth; snaps = [] }
 
 let depth t = t.depth
 let count t = List.length t.snaps
-let taken t = t.taken
 let to_list t = t.snaps
 
 let region_len = function R_full a -> Array.length a | R_delta d -> d.r_len
@@ -114,7 +112,6 @@ let rec shrink t =
 
 let push t snap =
   t.snaps <- snap :: t.snaps;
-  t.taken <- t.taken + 1;
   shrink t
 
 let newest t = match t.snaps with [] -> None | s :: _ -> Some s

@@ -24,8 +24,8 @@
     Snapshots live in a bounded ring, newest first. Keeping more than
     one matters: a fault injected *after* a vote but *before* the next
     capture is frozen into the newest snapshot, and recovery must be
-    able to escalate to an older, still-clean one (see
-    [System.try_rollback]). The oldest ring entry is always
+    able to escalate to an older, still-clean one (the engine's
+    [Recovery.try_rollback]). The oldest ring entry is always
     self-contained (all-full regions): eviction folds the outgoing base
     into its successor in O(delta) time, reusing the base's arrays.
 
@@ -82,9 +82,6 @@ val create : depth:int -> t
 val depth : t -> int
 val count : t -> int
 (** Snapshots currently held (<= depth). *)
-
-val taken : t -> int
-(** Snapshots stored over the ring's lifetime. *)
 
 val push : t -> snap -> unit
 (** Store as newest. When the ring is full the oldest snapshot is

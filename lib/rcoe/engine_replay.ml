@@ -34,7 +34,137 @@
 
 open Rcoe_machine
 open Rcoe_kernel
-open Sched
+open State
+module Trace = Rcoe_obs.Trace
+module Metrics = Rcoe_obs.Metrics
+
+(* Fletcher digest over the replicated memory a replayed chunk must
+   reproduce: the primary partition plus the shared region. The DMA
+   window is deliberately excluded — the device writes it outside the
+   sphere of replication, so the paper's residual DMA vulnerability is
+   preserved under replay detection exactly as under lockstep. *)
+let replay_region_sig t =
+  let f = Rcoe_checksum.Fletcher.create () in
+  let p = t.lay.Layout.partitions.(0) in
+  Mem.checksum_into (mem t) f ~addr:p.Layout.p_base ~len:p.Layout.p_words;
+  let sh = t.lay.Layout.shared in
+  Mem.checksum_into (mem t) f ~addr:sh.Layout.s_base ~len:sh.Layout.s_words;
+  Rcoe_checksum.Fletcher.digest f
+
+(* Freeze the complete execution point. Runs on the primary's domain at
+   a quiescent inter-cycle boundary; the copies it takes are what lets
+   checker domains work without ever touching live state. Call only
+   after the [stall] for the cut itself has been charged, so the frozen
+   core state already contains it. *)
+let replay_cut_state t ~stall =
+  let r = t.replicas.(0) in
+  let core = Kernel.core r.kern in
+  let p = t.lay.Layout.partitions.(0) in
+  let sh = t.lay.Layout.shared in
+  {
+    cs_cycle = now t;
+    cs_ticks = t.ticks;
+    cs_round_seq = t.round_seq;
+    cs_next_tick = t.next_tick;
+    cs_finished = r.finished;
+    cs_kernel = Kernel.snapshot r.kern;
+    cs_stall = stall;
+    cs_part = Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words;
+    cs_shared = Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words;
+    cs_dma =
+      Mem.read_block (mem t) t.lay.Layout.dma_base t.lay.Layout.dma_words;
+    cs_cycles = core.Core.cycles;
+    cs_instret = core.Core.instret;
+    cs_jitter = Rcoe_util.Rng.copy core.Core.jitter;
+    cs_bus = Bus.state t.mach.Machine.buses.(0);
+    cs_net = Option.map Netdev.snapshot t.net;
+    cs_sig = replay_region_sig t;
+  }
+
+(* Restore a cut's replicated memory, kernel, core and outside-SoR
+   state into [sys], leaving its clocks alone. *)
+let restore_cut sys (cs : cut_state) =
+  let r = sys.replicas.(0) in
+  let p = sys.lay.Layout.partitions.(0) in
+  let sh = sys.lay.Layout.shared in
+  Mem.write_block (mem sys) p.Layout.p_base cs.cs_part;
+  Mem.write_block (mem sys) sh.Layout.s_base cs.cs_shared;
+  Mem.write_block (mem sys) sys.lay.Layout.dma_base cs.cs_dma;
+  restore_replica sys r cs.cs_kernel ~finished:cs.cs_finished;
+  let core = Kernel.core r.kern in
+  core.Core.cycles <- cs.cs_cycles;
+  core.Core.instret <- cs.cs_instret;
+  Rcoe_util.Rng.assign ~dst:core.Core.jitter ~src:cs.cs_jitter;
+  Bus.set_state sys.mach.Machine.buses.(0) cs.cs_bus;
+  (match (sys.net, cs.cs_net) with
+  | Some nd, Some sn -> Netdev.restore nd sn
+  | _ -> ());
+  sys.ticks <- cs.cs_ticks;
+  sys.round_seq <- cs.cs_round_seq;
+  sys.phase <- Ph_idle;
+  sys.halt <- None
+
+(* The shadow side of [replay_cut_state]: leave [sys] exactly as the
+   captured system stood at the cut, clocks included, ready to
+   re-execute the chunk. *)
+let replay_restore_cut sys (cs : cut_state) =
+  restore_cut sys cs;
+  sys.mach.Machine.now <- cs.cs_cycle;
+  sys.next_tick <- cs.cs_next_tick
+
+(* Roll the replay primary back to the chunk start [cs]: its checkers'
+   restore, except that the wall clock keeps running (re-execution is
+   new time, as after a lockstep rollback) and the cut's own capture
+   stall, already inside [cs]'s kernel image, is not paid again. Write
+   tracking restarts, so the next cut is priced on what re-execution
+   dirties. *)
+let replay_rollback t (cs : cut_state) =
+  Recovery.record_rollback t ~to_cycle:cs.cs_cycle (fun () ->
+      let r = t.replicas.(0) in
+      tp_end t r;
+      restore_cut t cs;
+      Mem.clear_dirty (mem t);
+      t.next_tick <- now t + t.cfg.Config.tick_interval;
+      let cost =
+        Recovery.ckpt_copy_cost
+          (Array.length cs.cs_part + Array.length cs.cs_shared
+         + Array.length cs.cs_dma)
+      in
+      charge r (cost - cs.cs_stall);
+      cost)
+
+(* Arm replay detection on a freshly created system. Every host inject
+   is logged from the first cycle (the harness may feed the device
+   before it first runs the system), write tracking starts afresh (the
+   first cut's stall is priced on the pages dirtied since cycle 0), and
+   cycle 0 is frozen as the first chunk's start. Shadow systems are
+   created lazily, by [get_shadow]. *)
+let setup t =
+  let cfg = t.cfg in
+  let ilog = Inputlog.create () in
+  (match t.net with
+  | Some nd ->
+      Netdev.set_host_tap nd
+        ~on_inject:(fun ~now:deliver_at payload ->
+          Inputlog.record ilog ~at:(now t) ~deliver_at payload)
+        ()
+  | None -> ());
+  Mem.clear_dirty (mem t);
+  t.rp <-
+    Some
+      {
+        rp_log = ilog;
+        rp_span = cfg.Config.replay_chunk_ticks * cfg.Config.tick_interval;
+        rp_seq = 0;
+        rp_cut = replay_cut_state t ~stall:0;
+        rp_retrying = false;
+        rp_next_cut = cfg.Config.replay_chunk_ticks;
+        rp_inflight = [];
+        rp_shadows = [];
+        rp_shadows_made = 0;
+        rp_hwm = 0;
+        rp_idle_cycles = 0;
+      }
 
 let shadow_config cfg =
   {
@@ -56,7 +186,7 @@ let get_shadow t rp =
       if rp.rp_shadows_made < t.cfg.Config.replay_checkers then begin
         rp.rp_shadows_made <- rp.rp_shadows_made + 1;
         Some
-          (create ~config:(shadow_config t.cfg)
+          (Sched.create ~config:(shadow_config t.cfg)
              ~program:(Kernel.program t.replicas.(0).kern))
       end
       else None
@@ -127,7 +257,7 @@ let rec do_cut t rp =
      replay of that chunk would run ahead of the primary's timeline. *)
   let words, skipped = Checkpoint.delta_size (mem t) t.lay ~rids:[ 0 ] in
   Mem.clear_dirty (mem t);
-  let stall = charge_capture t [ t.replicas.(0) ] ~words ~skipped in
+  let stall = Recovery.charge_capture t [ t.replicas.(0) ] ~words ~skipped in
   let cut = replay_cut_state t ~stall in
   let closed =
     {

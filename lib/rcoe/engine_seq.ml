@@ -4,7 +4,7 @@
    each stretch of stepping (replay detection cuts its chunks there);
    a step that halts or finishes the system ends the run. *)
 
-open Sched
+open State
 
 let run ?stop ?step t ~max_cycles =
   let start = now t in
@@ -34,7 +34,7 @@ let run ?stop ?step t ~max_cycles =
         | Some _ -> min budget (128 - (now t land 127))
         | None -> budget
       in
-      if burst_cycles t ~budget = 0 then classic_cycle t;
+      if Sched.burst_cycles t ~budget = 0 then Sched.classic_cycle t;
       match stop with
       | Some f when now t land 127 = 0 -> if f t then continue_ := false
       | _ -> ()

@@ -1,585 +1,19 @@
-(* The replication scheduler: system state, round lifecycle, voting,
-   masking, checkpointing, and per-cycle replica stepping. The run loops
-   live in [Engine_seq] (lockstep stepping) and [Engine_replay]
-   (replay detection); [System] is the public facade that dispatches on
-   {!Config.detection}. This module has no interface — the engines need
-   the internals — but nothing outside the library should depend on
-   it. *)
+(* The round lifecycle and the per-cycle stepper. [create] builds a
+   system ([State.t]); [classic_cycle] advances it by one simulated
+   cycle — machine tick, every replica stepped in rid order, then the
+   round state machine — and [burst_cycles] covers quiescent stretches
+   in one bit-identical burst. Rounds gather the replicas (IPI, publish,
+   catch-up to the leader) or rendezvous them at an FT operation, and
+   end in one vote through [finish_round]. What a round decides is
+   delegated: [Ft_ops] stages the FT operation, [Recovery] masks or
+   rolls back a mismatch and takes checkpoints. The run loops are
+   [Engine_seq] and [Engine_replay]; [System] is the public facade. *)
 
 open Rcoe_machine
 open Rcoe_kernel
+open State
 module Trace = Rcoe_obs.Trace
 module Metrics = Rcoe_obs.Metrics
-
-type halt_reason =
-  | H_mismatch
-  | H_no_consensus
-  | H_timeout
-  | H_kernel_exception of string
-  | H_masking_blocked
-
-let halt_reason_to_string = function
-  | H_mismatch -> "signature mismatch (halt)"
-  | H_no_consensus -> "vote: no consensus on faulty replica"
-  | H_timeout -> "barrier timeout"
-  | H_kernel_exception s -> "kernel exception: " ^ s
-  | H_masking_blocked -> "faulty primary during I/O: cannot downgrade"
-
-type event_kind =
-  | E_user_fault of int
-  | E_kernel_abort of int
-  | E_mismatch
-  | E_timeout
-  | E_downgrade of int
-  | E_reintegrate of int
-  | E_rollback of int
-  | E_ingress_drop of int
-
-type stats = {
-  mutable ticks_delivered : int;
-  mutable rounds : int;
-  mutable votes : int;
-  mutable ipis : int;
-  mutable bp_fires : int;
-  mutable ft_rounds : int;
-  mutable rendezvous : int;
-}
-
-(* Typed handles into the metrics registry; the [stats] record above is
-   reconstructed from these on demand, so callers of [stats] are
-   unaffected by the registry having become the source of truth. *)
-type metric_set = {
-  m_ticks : Metrics.counter;
-  m_rounds : Metrics.counter;
-  m_votes : Metrics.counter;
-  m_ipis : Metrics.counter;
-  m_bp_fires : Metrics.counter;
-  m_ft_rounds : Metrics.counter;
-  m_rendezvous : Metrics.counter;
-  m_vm_exits : Metrics.counter;
-  m_single_steps : Metrics.counter;
-  m_rep_steps : Metrics.counter;
-  m_downgrades : Metrics.counter;
-  m_reintegrations : Metrics.counter;
-  m_rollbacks : Metrics.counter;
-  m_ckpt_taken : Metrics.counter;
-  m_ckpt_words_copied : Metrics.counter;
-  m_ckpt_words_skipped : Metrics.counter;
-  m_ingress_checked : Metrics.counter;
-  m_ingress_dropped : Metrics.counter;
-  m_catchup_dist : Metrics.histogram;
-  m_catchup_cycles : Metrics.histogram;
-  m_barrier_wait : Metrics.histogram;
-  m_detect_latency : Metrics.histogram;
-  m_ckpt_cost : Metrics.histogram;
-  m_recover_latency : Metrics.histogram;
-  m_replay_chunks : Metrics.counter;
-  m_replay_verified : Metrics.counter;
-  m_replay_mismatch : Metrics.counter;
-  m_replay_lag : Metrics.histogram;
-}
-
-let make_metric_set reg =
-  {
-    m_ticks = Metrics.counter reg "kernel.ticks_delivered";
-    m_rounds = Metrics.counter reg "sync.rounds";
-    m_votes = Metrics.counter reg "sync.votes";
-    m_ipis = Metrics.counter reg "sync.ipis";
-    m_bp_fires = Metrics.counter reg "catchup.bp_fires";
-    m_ft_rounds = Metrics.counter reg "sync.ft_rounds";
-    m_rendezvous = Metrics.counter reg "sync.rendezvous";
-    m_vm_exits = Metrics.counter reg "vm.exits";
-    m_single_steps = Metrics.counter reg "catchup.single_steps";
-    m_rep_steps = Metrics.counter reg "catchup.rep_steps";
-    m_downgrades = Metrics.counter reg "mask.downgrades";
-    m_reintegrations = Metrics.counter reg "mask.reintegrations";
-    m_rollbacks = Metrics.counter reg "mask.rollbacks";
-    m_ckpt_taken = Metrics.counter reg "ckpt.taken";
-    m_ckpt_words_copied = Metrics.counter reg "ckpt.words_copied";
-    m_ckpt_words_skipped = Metrics.counter reg "ckpt.words_skipped";
-    m_ingress_checked = Metrics.counter reg "net.ingress_checked";
-    m_ingress_dropped = Metrics.counter reg "net.ingress_dropped";
-    m_catchup_dist =
-      Metrics.histogram reg "catchup.distance_branches"
-        ~buckets:[ 1.; 8.; 32.; 128.; 512.; 2048.; 8192. ];
-    m_catchup_cycles =
-      Metrics.histogram reg "catchup.cycles"
-        ~buckets:[ 100.; 1000.; 10_000.; 100_000. ];
-    m_barrier_wait =
-      Metrics.histogram reg "sync.barrier_wait_cycles"
-        ~buckets:[ 100.; 1000.; 10_000.; 100_000. ];
-    m_detect_latency =
-      Metrics.histogram reg "detect.latency_cycles"
-        ~buckets:[ 1000.; 10_000.; 100_000.; 1_000_000. ];
-    m_ckpt_cost =
-      Metrics.histogram reg "ckpt.cost_cycles"
-        ~buckets:[ 10_000.; 30_000.; 100_000.; 300_000. ];
-    m_recover_latency =
-      Metrics.histogram reg "recover.latency_cycles"
-        ~buckets:[ 10_000.; 100_000.; 1_000_000.; 10_000_000. ];
-    m_replay_chunks = Metrics.counter reg "replay.chunks";
-    m_replay_verified = Metrics.counter reg "replay.chunks_verified";
-    m_replay_mismatch = Metrics.counter reg "replay.mismatches";
-    m_replay_lag =
-      Metrics.histogram reg "replay.lag_cycles"
-        ~buckets:[ 10_000.; 50_000.; 200_000.; 1_000_000. ];
-  }
-
-(* Fast-path bookkeeping: how much simulated time [burst_cycles]
-   covered and why each burst ended or was declined. Host-side
-   diagnostics, deliberately outside the metrics registry (a burst is
-   not a simulated event: the Interp oracle never bursts), but a pure
-   function of the simulation, so equal inputs give equal counts. *)
-type fastpath = {
-  mutable bursts : int;
-  mutable burst_cycles : int;
-  mutable classic_cycles : int;
-  mutable end_event : int;
-  mutable end_tick : int;
-  mutable end_device : int;
-  mutable end_ipi : int;
-  mutable end_budget : int;
-  mutable declined_phase : int;
-  mutable declined_state : int;
-  mutable declined_window : int;
-}
-
-(* Pending events delivered at the end of an asynchronous round. *)
-type ev = Tick | Dev_irq of int
-
-type catchup = {
-  leader_clock : Clock.t;
-  mutable bp_set : bool;
-  mutable overshoot : bool;
-  mutable pmu_active : bool;
-      (* Fast catch-up: running freely towards a PMU overflow target. *)
-  mutable pmu_done : bool;
-}
-
-type rstate =
-  | Rs_run
-  | Rs_gather_wait
-  | Rs_chase of int (* LC: target event count *)
-  | Rs_catchup of catchup
-  | Rs_vote_wait
-  | Rs_rendezvous
-  | Rs_halted
-  | Rs_removed
-
-type replica = {
-  rid : int;
-  kern : Kernel.t;
-  mutable state : rstate;
-  mutable finished : bool;
-  mutable pending_ft : (int * int array) option;
-  mutable joined : bool;
-  mutable defer_publish : bool;
-  (* Trace/metrics bookkeeping; [tr_phase] is only ever set while the
-     trace is enabled, so the helpers below are free when it is not. *)
-  mutable tr_phase : Trace.sync_phase option;
-  mutable arrived_at : int;  (* cycle of final-barrier arrival, -1 = n/a *)
-  mutable move_started : int;  (* cycle catch-up began, -1 = n/a *)
-}
-
-type phase =
-  | Ph_idle
-  | Ph_async of async_round
-  | Ph_rdv of { mutable rdv_started : int }
-
-and async_round = {
-  events : ev list;
-  mutable stage : [ `Gather | `Move ];
-  mutable round_started : int;
-}
-
-(* ---------------------------------------------------------------------- *)
-(* Replay-based detection (RepTFD) pipeline state                          *)
-(* ---------------------------------------------------------------------- *)
-
-(* A chunk cut: everything a shadow machine needs to restart execution
-   at this exact point, bit for bit, and the one recovery point the
-   primary rolls back to. Besides the replicated memory and kernel it
-   freezes the outside-SoR state a lockstep checkpoint deliberately
-   does not capture — device queues, the floating-point bus credit, the
-   jitter RNG — which a replayed chunk needs to re-live the *same* time.
-   All arrays are private copies taken on the primary's domain, so
-   checker domains share nothing mutable with it. *)
-type cut_state = {
-  cs_cycle : int;
-  cs_ticks : int;
-  cs_round_seq : int;
-  cs_next_tick : int;
-  cs_finished : bool;
-  cs_kernel : Kernel.snapshot;  (* taken after the cut's stall charge *)
-  cs_stall : int;  (* that charge: a rollback to the cut does not repay it *)
-  cs_part : int array;  (* primary partition image *)
-  cs_shared : int array;
-  cs_dma : int array;
-  cs_cycles : int;  (* core active-cycle / instret counters *)
-  cs_instret : int;
-  cs_jitter : Rcoe_util.Rng.t;  (* private copy of the core's jitter RNG *)
-  cs_bus : Bus.state;
-  cs_net : Netdev.snapshot option;
-  cs_sig : int;  (* Fletcher digest over partition ++ shared *)
-}
-
-(* A closed chunk: start state, the host inputs absorbed while it ran,
-   and the end state to compare a replay against. Immutable once built,
-   so it can be handed to a checker domain without synchronisation. *)
-type chunk = {
-  ch_seq : int;
-  ch_start : cut_state;
-  ch_log : Inputlog.event list;
-  ch_end : cut_state;
-}
-
-type t = {
-  cfg : Config.t;
-  mach : Machine.t;
-  lay : Layout.t;
-  lint : Rcoe_isa.Lint.report;
-  replicas : replica array;
-  net : Netdev.t option;
-  net_dpn : int;
-  mmio_plan : (int * Page_table.pte) list; (* primary-role MMIO PTEs *)
-  dma_plan : (int * Page_table.pte) list; (* primary-role DMA-window PTEs *)
-  mutable prim : int;
-  mutable phase : phase;
-  mutable next_tick : int;
-  mutable ticks : int;
-  mutable halt : halt_reason option;
-  mutable downgrade_log : (int * int * int) list;
-  mutable event_log : (int * event_kind) list;
-  mutable round_seq : int;
-  mutable after_save : (rid:int -> tid:int -> ctx_addr:int -> unit) option;
-  mutable pending_reintegrate : int option;
-  mutable reintegration_log : (int * int) list;
-  mutable event_log_len : int;
-  (* Rollback recovery. The ring exists only when checkpointing is
-     configured; all bookkeeping below is dead weight otherwise. *)
-  ckpts : Checkpoint.t option;
-  mutable rounds_since_ckpt : int;
-  mutable rollbacks_done : int;
-  mutable retries_at_newest : int;
-  mutable escalations : int;
-  mutable rollback_log : (int * int) list; (* (detected_at, to_cycle) *)
-  metrics : Metrics.t;
-  ms : metric_set;
-  trace : Trace.t;
-  fp : fastpath;
-  (* Reused by [burst_cycles]: the block caches of the replicas a
-     burst steps, in rid order, and their rids. [burst_set] is sized on
-     the first burst (it needs a cache to fill with). *)
-  mutable burst_set : Rcoe_machine.Blockc.t array;
-  burst_rid : int array;
-  (* Replay-based detection pipeline; [Some] iff
-     [cfg.detection = Replay]. Types are mutually recursive with [t]
-     because checkers verify chunks against full shadow *systems*. *)
-  mutable rp : replay option;
-}
-
-(* An in-flight chunk: queued for (or undergoing) verification.
-   [if_domain]/[if_shadow] are only ever touched on the primary's
-   domain; the checker domain sees just the immutable chunk and its
-   private shadow system. *)
-and inflight = {
-  if_chunk : chunk;
-  mutable if_domain : bool Domain.t option;
-  mutable if_shadow : t option;
-}
-
-(* The primary-side pipeline: the accumulating chunk's start state, the
-   bounded in-flight queue (oldest first), and a pool of reusable
-   shadow systems ([Engine_replay] creates them lazily — creation runs
-   program lint and layout, too costly per chunk). All fields are
-   primary-domain-only; the only cross-domain traffic is the immutable
-   chunk handed to [Domain.spawn] and the [bool] verdict joined back. *)
-and replay = {
-  rp_log : Inputlog.t;
-  rp_span : int;  (* nominal chunk length, cycles *)
-  mutable rp_seq : int;  (* sequence number of the accumulating chunk *)
-  mutable rp_cut : cut_state;  (* its start *)
-  mutable rp_retrying : bool;  (* rolled back since the last verified chunk *)
-  mutable rp_next_cut : int;  (* tick count that triggers the next cut *)
-  mutable rp_inflight : inflight list;  (* oldest first *)
-  mutable rp_shadows : t list;  (* idle shadow systems *)
-  mutable rp_shadows_made : int;
-  mutable rp_hwm : int;  (* in-flight queue high-water mark *)
-  mutable rp_idle_cycles : int;  (* checker idle, simulated cycles *)
-}
-
-(* The notable-events list is bounded: campaigns run for millions of
-   cycles and the old unbounded list grew without limit. Truncation is
-   amortised — the newest [event_log_cap] entries (the list prefix) are
-   kept once the list doubles past the cap. *)
-let event_log_cap = 2048
-
-(* Engine-internal cycle costs not covered by the architecture profile. *)
-let publish_cost = 60
-let vote_cost = 140
-let ft_word_cost = 2
-let ft_op_cost = 180
-
-let config t = t.cfg
-let machine t = t.mach
-
-let lint_report t = t.lint
-
-let lint_warnings t =
-  List.filter_map
-    (fun f ->
-      if f.Rcoe_isa.Lint.f_severity = Rcoe_isa.Lint.Warning then
-        Some f.Rcoe_isa.Lint.f_message
-      else None)
-    t.lint.Rcoe_isa.Lint.findings
-let layout t = t.lay
-let netdev t = t.net
-let kernel t rid = t.replicas.(rid).kern
-let primary t = t.prim
-let now t = t.mach.Machine.now
-
-let stats t =
-  {
-    ticks_delivered = Metrics.count t.ms.m_ticks;
-    rounds = Metrics.count t.ms.m_rounds;
-    votes = Metrics.count t.ms.m_votes;
-    ipis = Metrics.count t.ms.m_ipis;
-    bp_fires = Metrics.count t.ms.m_bp_fires;
-    ft_rounds = Metrics.count t.ms.m_ft_rounds;
-    rendezvous = Metrics.count t.ms.m_rendezvous;
-  }
-
-(* Refresh-on-read gauges over device and trace-ring state. Gauges hold
-   host-side values (net.tx_pending_hwm depends on how often the host
-   harness drains TX completions), so identity checks compare counters
-   only. *)
-let metrics t =
-  Metrics.set
-    (Metrics.gauge_or t.metrics "trace.dropped_events")
-    (float_of_int (Trace.dropped t.trace));
-  (match t.net with
-  | Some nd ->
-      Metrics.set
-        (Metrics.gauge_or t.metrics "net.rx_dropped")
-        (float_of_int (Netdev.rx_dropped nd));
-      Metrics.set
-        (Metrics.gauge_or t.metrics "net.rx_ring_hwm")
-        (float_of_int (Netdev.rx_ring_hwm nd));
-      Metrics.set
-        (Metrics.gauge_or t.metrics "net.tx_pending_hwm")
-        (float_of_int (Netdev.tx_pending_hwm nd));
-      Metrics.set
-        (Metrics.gauge_or t.metrics "net.tx_sent")
-        (float_of_int (Netdev.tx_sent nd));
-      Metrics.set
-        (Metrics.gauge_or t.metrics "net.rx_nacked")
-        (float_of_int (Netdev.rx_nacked nd))
-  | None -> ());
-  (match t.rp with
-  | Some rp ->
-      Metrics.set
-        (Metrics.gauge_or t.metrics "net.replay_queue_hwm")
-        (float_of_int rp.rp_hwm);
-      Metrics.set
-        (Metrics.gauge_or t.metrics "replay.checker_idle_cycles")
-        (float_of_int rp.rp_idle_cycles)
-  | None -> ());
-  t.metrics
-let trace t = t.trace
-
-let fastpath t = t.fp
-let halted t = t.halt
-let downgrades t = t.downgrade_log
-
-let rollbacks t = t.rollback_log
-
-let checkpoints_taken t = Metrics.count t.ms.m_ckpt_taken
-let events t = t.event_log
-let tick_count t = t.ticks
-let output t rid = Buffer.contents (Kernel.output t.replicas.(rid).kern)
-let replica_done t rid = t.replicas.(rid).finished
-let set_after_save_hook t h = t.after_save <- h
-
-let sig_base t rid = t.lay.Layout.partitions.(rid).Layout.sig_base
-
-let is_live r = match r.state with Rs_removed -> false | _ -> true
-
-let live t =
-  Array.fold_right
-    (fun r acc -> if is_live r then r.rid :: acc else acc)
-    t.replicas []
-
-let live_replicas t = List.filter is_live (Array.to_list t.replicas)
-
-(* [p t r] over the live replicas, in rid order, without building a
-   list: the round-lifecycle checks below run on every cycle of a
-   round. Pass closed predicates (they take [t] as an argument) so the
-   call allocates no closure either. *)
-let for_all_live t p =
-  let rs = t.replicas in
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < Array.length rs do
-    let r = Array.unsafe_get rs !i in
-    if is_live r && not (p t r) then ok := false;
-    incr i
-  done;
-  !ok
-
-let finished t =
-  match t.halt with
-  | Some _ -> false
-  | None -> for_all_live t (fun _ r -> r.finished)
-
-let log_event t k =
-  t.event_log <- (now t, k) :: t.event_log;
-  t.event_log_len <- t.event_log_len + 1;
-  if t.event_log_len > 2 * event_log_cap then begin
-    t.event_log <- List.filteri (fun i _ -> i < event_log_cap) t.event_log;
-    t.event_log_len <- event_log_cap
-  end
-
-(* Detection latency (paper Fig. 3): cycles from the most recent fault
-   injection to the moment the system reacts (halt or downgrade). The
-   injection mark survives a disabled trace ring, so campaigns measure
-   latency without paying for tracing. *)
-let observe_detection t =
-  match Trace.last_injection t.trace with
-  | Some injected_at ->
-      Metrics.observe t.ms.m_detect_latency
-        (float_of_int (now t - injected_at));
-      Trace.clear_last_injection t.trace
-  | None -> ()
-
-let halt_system t reason =
-  if t.halt = None then begin
-    t.halt <- Some reason;
-    match reason with
-    | H_timeout ->
-        observe_detection t;
-        log_event t E_timeout
-    | H_mismatch | H_no_consensus | H_masking_blocked ->
-        observe_detection t;
-        log_event t E_mismatch
-    | H_kernel_exception _ -> ()
-  end
-
-let mem t = t.mach.Machine.mem
-let profile t = t.mach.Machine.profile
-let shared t = t.lay.Layout.shared
-
-let event_count t r = Signature.event_count (mem t) ~base:(sig_base t r.rid)
-
-let charge r n = Core.add_stall (Kernel.core r.kern) n
-
-let vm_charge t r =
-  if t.cfg.Config.vm then begin
-    charge r (profile t).Arch.vm_exit_cost;
-    Metrics.incr t.ms.m_vm_exits;
-    Trace.vm_exit t.trace ~rid:r.rid
-  end
-
-(* Per-replica sync-phase spans. A new phase closes the previous one,
-   so each replica carries at most one open span; [tr_phase] is only set
-   while tracing, keeping both helpers free otherwise. *)
-let tp_end t r =
-  match r.tr_phase with
-  | Some ph ->
-      Trace.phase_end t.trace ~rid:r.rid ph;
-      r.tr_phase <- None
-  | None -> ()
-
-let tp_begin t r ph =
-  if Trace.enabled t.trace then begin
-    tp_end t r;
-    Trace.phase_begin t.trace ~rid:r.rid ph;
-    r.tr_phase <- Some ph
-  end
-
-(* ---------------------------------------------------------------------- *)
-(* Replay detection: cut-state capture                                     *)
-(* ---------------------------------------------------------------------- *)
-
-(* Fletcher digest over the replicated memory a replayed chunk must
-   reproduce: the primary partition plus the shared region. The DMA
-   window is deliberately excluded — the device writes it outside the
-   sphere of replication, so the paper's residual DMA vulnerability is
-   preserved under replay detection exactly as under lockstep. *)
-let replay_region_sig t =
-  let f = Rcoe_checksum.Fletcher.create () in
-  let p = t.lay.Layout.partitions.(0) in
-  Mem.checksum_into (mem t) f ~addr:p.Layout.p_base ~len:p.Layout.p_words;
-  let sh = t.lay.Layout.shared in
-  Mem.checksum_into (mem t) f ~addr:sh.Layout.s_base ~len:sh.Layout.s_words;
-  Rcoe_checksum.Fletcher.digest f
-
-(* Freeze the complete execution point. Runs on the primary's domain at
-   a quiescent inter-cycle boundary; the copies it takes are what lets
-   checker domains work without ever touching live state. Call only
-   after the [stall] for the cut itself has been charged, so the frozen
-   core state already contains it. *)
-let replay_cut_state t ~stall =
-  let r = t.replicas.(0) in
-  let core = Kernel.core r.kern in
-  let p = t.lay.Layout.partitions.(0) in
-  let sh = t.lay.Layout.shared in
-  {
-    cs_cycle = now t;
-    cs_ticks = t.ticks;
-    cs_round_seq = t.round_seq;
-    cs_next_tick = t.next_tick;
-    cs_finished = r.finished;
-    cs_kernel = Kernel.snapshot r.kern;
-    cs_stall = stall;
-    cs_part = Mem.read_block (mem t) p.Layout.p_base p.Layout.p_words;
-    cs_shared = Mem.read_block (mem t) sh.Layout.s_base sh.Layout.s_words;
-    cs_dma =
-      Mem.read_block (mem t) t.lay.Layout.dma_base t.lay.Layout.dma_words;
-    cs_cycles = core.Core.cycles;
-    cs_instret = core.Core.instret;
-    cs_jitter = Rcoe_util.Rng.copy core.Core.jitter;
-    cs_bus = Bus.state t.mach.Machine.buses.(0);
-    cs_net = Option.map Netdev.snapshot t.net;
-    cs_sig = replay_region_sig t;
-  }
-
-(* Restore a cut's replicated memory, kernel, core and outside-SoR
-   state into [sys], leaving its clocks alone. *)
-let restore_cut sys (cs : cut_state) =
-  let r = sys.replicas.(0) in
-  let p = sys.lay.Layout.partitions.(0) in
-  let sh = sys.lay.Layout.shared in
-  Mem.write_block (mem sys) p.Layout.p_base cs.cs_part;
-  Mem.write_block (mem sys) sh.Layout.s_base cs.cs_shared;
-  Mem.write_block (mem sys) sys.lay.Layout.dma_base cs.cs_dma;
-  Kernel.restore r.kern cs.cs_kernel;
-  r.finished <- cs.cs_finished;
-  r.pending_ft <- None;
-  r.joined <- false;
-  r.defer_publish <- false;
-  r.arrived_at <- -1;
-  r.move_started <- -1;
-  r.state <- Rs_run;
-  let core = Kernel.core r.kern in
-  core.Core.cycles <- cs.cs_cycles;
-  core.Core.instret <- cs.cs_instret;
-  Rcoe_util.Rng.assign ~dst:core.Core.jitter ~src:cs.cs_jitter;
-  Bus.set_state sys.mach.Machine.buses.(0) cs.cs_bus;
-  (match (sys.net, cs.cs_net) with
-  | Some nd, Some sn -> Netdev.restore nd sn
-  | _ -> ());
-  Machine.clear_ipi sys.mach ~core_id:0;
-  sys.ticks <- cs.cs_ticks;
-  sys.round_seq <- cs.cs_round_seq;
-  sys.phase <- Ph_idle;
-  sys.halt <- None
-
-(* The shadow side of [replay_cut_state]: leave [sys] exactly as the
-   captured system stood at the cut, clocks included, ready to
-   re-execute the chunk. *)
-let replay_restore_cut sys (cs : cut_state) =
-  restore_cut sys cs;
-  sys.mach.Machine.now <- cs.cs_cycle;
-  sys.next_tick <- cs.cs_next_tick
 
 (* ---------------------------------------------------------------------- *)
 (* Construction                                                            *)
@@ -850,20 +284,7 @@ let create ~config:cfg ~program =
                   ppn = shadow;
                 })
             dma_plan;
-        (* Shared input-replication buffer: same physical pages everywhere;
-           writable by the primary only. *)
-        let in_pages = lay.Layout.shared.Layout.inbuf_words / page in
-        for i = 0 to in_pages - 1 do
-          Kernel.map_page ~quiet:true k
-            ~vpn:((Layout.va_shared_in / page) + i)
-            {
-              Page_table.valid = true;
-              writable = is_primary;
-              dma = false;
-              device = false;
-              ppn = (lay.Layout.shared.Layout.inbuf_base / page) + i;
-            }
-        done
+        map_input_buffer t k ~writable:is_primary
       end;
       ignore (Kernel.spawn k ~entry:program.Rcoe_isa.Program.entry ~arg:0);
       Kernel.start k;
@@ -872,622 +293,7 @@ let create ~config:cfg ~program =
       Signature.reset (mem t) ~base:(sig_base t r.rid))
     replicas;
   Machine.route_irqs_to mach t.prim;
-  (* Replay-based detection: log every host inject from the first
-     cycle (the harness may feed the device before it first runs the
-     system), and start write tracking afresh: the first cut's stall is
-     priced on the pages dirtied since cycle 0. Shadow systems are
-     created lazily by [Engine_replay]. *)
-  if cfg.Config.detection = Config.Replay then begin
-    let ilog = Inputlog.create () in
-    (match net with
-    | Some nd ->
-        Netdev.set_host_tap nd
-          ~on_inject:(fun ~now:deliver_at payload ->
-            Inputlog.record ilog ~at:(now t) ~deliver_at payload)
-          ()
-    | None -> ());
-    Mem.clear_dirty (mem t);
-    t.rp <-
-      Some
-        {
-          rp_log = ilog;
-          rp_span = cfg.Config.replay_chunk_ticks * cfg.Config.tick_interval;
-          rp_seq = 0;
-          rp_cut = replay_cut_state t ~stall:0;
-          rp_retrying = false;
-          rp_next_cut = cfg.Config.replay_chunk_ticks;
-          rp_inflight = [];
-          rp_shadows = [];
-          rp_shadows_made = 0;
-          rp_hwm = 0;
-          rp_idle_cycles = 0;
-        }
-  end;
   t
-
-(* ---------------------------------------------------------------------- *)
-(* FT operations                                                           *)
-(* ---------------------------------------------------------------------- *)
-
-(* Transfer size of an FT operation, for cost accounting. *)
-let ft_words num args =
-  if num = Syscall.sys_ft_mem_access then max 0 args.(3)
-  else if num = Syscall.sys_ft_add_trace || num = Syscall.sys_ft_mem_rep then
-    max 0 args.(1)
-  else 0
-
-(* Stage an FT operation: fold its data into every replica's signature and
-   return the commit action (externally-visible side effects), which runs
-   only after a successful vote — so corrupted output is caught before it
-   reaches the device. *)
-let ft_stage t num args =
-  let sh = shared t in
-  let live = live_replicas t in
-  let add_sig r ws =
-    Array.iter (fun w -> Signature.add_word (mem t) ~base:(sig_base t r.rid) w) ws
-  in
-  let read_block r ~va ~len =
-    try Some (Kernel.read_user_block r.kern ~va ~len)
-    with Kernel.User_mem_error _ | Mem.Abort _ -> None
-  in
-  let set_result r v =
-    (Kernel.core r.kern).Core.regs.(0) <- v
-  in
-  List.iter
-    (fun r -> charge r (ft_op_cost + (ft_word_cost * ft_words num args)))
-    live;
-  if num = Syscall.sys_ft_add_trace then begin
-    let va = args.(0) and len = max 0 (min args.(1) 4096) in
-    List.iter
-      (fun r ->
-        match read_block r ~va ~len with
-        | Some block -> if t.cfg.Config.trace_output then add_sig r block
-        | None -> add_sig r [| -1 |])
-      live;
-    fun () -> List.iter (fun r -> set_result r 0) live
-  end
-  else if num = Syscall.sys_ft_mem_access then begin
-    let access = args.(0) and mmio_va = args.(1) and va = args.(2) in
-    let len = max 0 (min args.(3) Netdev.slot_words) in
-    let prim_k = t.replicas.(t.prim).kern in
-    match Kernel.translate_mmio prim_k ~va:mmio_va with
-    | None -> fun () -> List.iter (fun r -> set_result r (-1)) live
-    | Some (dpn, off) ->
-        if access = 0 then begin
-          (* Read: the primary reads the device once; the values pass
-             through the shared scratch area to every replica and every
-             signature. *)
-          let values =
-            Array.init len (fun i -> Machine.dev_read t.mach dpn (off + i))
-          in
-          Array.iteri
-            (fun i v ->
-              if i < 32 then Mem.write (mem t) (sh.Layout.scratch_base + i) v)
-            values;
-          List.iter (fun r -> add_sig r values) live;
-          fun () ->
-            List.iter
-              (fun r ->
-                (try Kernel.write_user_block r.kern ~va values
-                 with Kernel.User_mem_error _ | Mem.Abort _ -> ());
-                set_result r 0)
-              live
-        end
-        else begin
-          (* Write: fold every replica's outgoing data; the device write
-             (from the then-primary's copy) happens only after the vote. *)
-          let blocks =
-            List.map (fun r -> (r.rid, read_block r ~va ~len)) live
-          in
-          List.iter2
-            (fun r (_, b) ->
-              match b with Some ws -> add_sig r ws | None -> add_sig r [| -1 |])
-            live blocks;
-          fun () ->
-            (match List.assoc_opt t.prim blocks with
-            | Some (Some ws) ->
-                Array.iteri (fun i v -> Machine.dev_write t.mach dpn (off + i) v) ws
-            | Some None | None -> ());
-            List.iter (fun r -> set_result r 0) live
-        end
-  end
-  else if num = Syscall.sys_ft_mem_rep then begin
-    let va = args.(0)
-    and len = max 0 (min args.(1) sh.Layout.inbuf_words)
-    and dma_off = max 0 args.(2) in
-    let src = t.lay.Layout.dma_base + min dma_off (t.lay.Layout.dma_words - len) in
-    (* Ingress verification: each live replica recomputes the frame
-       checksum over the DMA buffer it is about to consume and compares
-       it against the NIC's enqueue-time ground truth (RX_CSUM). The
-       replicas read the same physical buffer, so the simulation
-       computes the digest once and charges each replica for the pass. *)
-    let verdict =
-      if t.cfg.Config.ingress_check && t.net <> None then begin
-        Metrics.incr t.ms.m_ingress_checked;
-        List.iter (fun r -> charge r (ft_word_cost * len)) live;
-        let data = Mem.read_block (mem t) src len in
-        let got = Rcoe_checksum.Fletcher.frame data in
-        let expect = Machine.dev_read t.mach t.net_dpn Netdev.reg_rx_csum in
-        if got = expect then `Verified got else `Corrupt (data, expect, got)
-      end
-      else `Unchecked
-    in
-    match verdict with
-    | `Corrupt (data, expect, got) ->
-        (* The corruption happened outside the sphere of replication, so
-           every replica sees the same bad bytes: fold an identical drop
-           marker (not the data) so the vote passes — rollback cannot
-           repair a buffer no checkpoint covers. Recovery is to NACK the
-           frame back to the device and let the client's retransmission
-           bridge re-deliver it. *)
-        let id = if Array.length data >= 2 then data.(1) else -1 in
-        List.iter (fun r -> add_sig r [| -2; expect; got |]) live;
-        Metrics.incr t.ms.m_ingress_dropped;
-        Trace.ingress_drop t.trace ~id ~expect ~got;
-        observe_detection t;
-        log_event t (E_ingress_drop id);
-        fun () ->
-          Machine.dev_write t.mach t.net_dpn Netdev.reg_rx_nack 1;
-          List.iter (fun r -> set_result r 1) live
-    | `Verified _ | `Unchecked ->
-        (* The primary's kernel copies the DMA buffer into the shared
-           region; every replica's kernel then copies it inward and
-           folds it — plus, on the checked path, the verified digest, so
-           the vote cross-checks the replicas' views of the ingress
-           data. *)
-        Mem.blit (mem t) ~src ~dst:sh.Layout.inbuf_base ~len;
-        let data = Mem.read_block (mem t) sh.Layout.inbuf_base len in
-        List.iter (fun r -> add_sig r data) live;
-        (match verdict with
-        | `Verified digest -> List.iter (fun r -> add_sig r [| digest |]) live
-        | _ -> ());
-        fun () ->
-          List.iter
-            (fun r ->
-              (try Kernel.write_user_block r.kern ~va data
-               with Kernel.User_mem_error _ | Mem.Abort _ -> ());
-              set_result r 0)
-            live
-  end
-  else begin
-    (* input_wait: pure rendezvous. *)
-    fun () -> List.iter (fun r -> set_result r 0) live
-  end
-
-(* Base-mode (unreplicated) FT syscalls act directly. *)
-let ft_base t r num args =
-  let k = r.kern in
-  let set v = (Kernel.core k).Core.regs.(0) <- v in
-  charge r (ft_op_cost + (ft_word_cost * ft_words num args));
-  if num = Syscall.sys_ft_add_trace || num = Syscall.sys_input_wait then set 0
-  else if num = Syscall.sys_ft_mem_access then begin
-    let access = args.(0) and mmio_va = args.(1) and va = args.(2) in
-    let len = max 0 (min args.(3) Netdev.slot_words) in
-    match Kernel.translate_mmio k ~va:mmio_va with
-    | None -> set (-1)
-    | Some (dpn, off) ->
-        (try
-           if access = 0 then
-             for i = 0 to len - 1 do
-               Kernel.write_user k ~va:(va + i) (Machine.dev_read t.mach dpn (off + i))
-             done
-           else
-             for i = 0 to len - 1 do
-               Machine.dev_write t.mach dpn (off + i) (Kernel.read_user k ~va:(va + i))
-             done;
-           set 0
-         with Kernel.User_mem_error _ -> set (-1))
-  end
-  else if num = Syscall.sys_ft_mem_rep then begin
-    let va = args.(0)
-    and len = max 0 (min args.(1) t.lay.Layout.dma_words)
-    and dma_off = max 0 args.(2) in
-    let src = t.lay.Layout.dma_base + min dma_off (t.lay.Layout.dma_words - len) in
-    let drop =
-      t.cfg.Config.ingress_check && t.net <> None
-      && begin
-           Metrics.incr t.ms.m_ingress_checked;
-           charge r (ft_word_cost * len);
-           let data = Mem.read_block (mem t) src len in
-           let got = Rcoe_checksum.Fletcher.frame data in
-           let expect = Machine.dev_read t.mach t.net_dpn Netdev.reg_rx_csum in
-           if got = expect then false
-           else begin
-             let id = if Array.length data >= 2 then data.(1) else -1 in
-             Metrics.incr t.ms.m_ingress_dropped;
-             Trace.ingress_drop t.trace ~id ~expect ~got;
-             observe_detection t;
-             log_event t (E_ingress_drop id);
-             Machine.dev_write t.mach t.net_dpn Netdev.reg_rx_nack 1;
-             true
-           end
-         end
-    in
-    if drop then set 1
-    else
-      try
-        for i = 0 to len - 1 do
-          Kernel.write_user k ~va:(va + i) (Mem.read (mem t) (src + i))
-        done;
-        set 0
-      with Kernel.User_mem_error _ -> set (-1)
-  end
-  else set (-1)
-
-(* ---------------------------------------------------------------------- *)
-(* Downgrade (error masking, Section IV)                                   *)
-(* ---------------------------------------------------------------------- *)
-
-let promote_new_primary t new_prim =
-  let p = profile t in
-  let k = t.replicas.(new_prim).kern in
-  (* Scan the page table for DMA-marked pages (the spare-bit trick) and
-     re-point them at the real DMA region and device window. *)
-  let marked = Kernel.dma_pages_mapped k in
-  List.iter (fun (vpn, pte) -> Kernel.map_page ~quiet:true k ~vpn pte) t.dma_plan;
-  List.iter (fun (vpn, pte) -> Kernel.map_page ~quiet:true k ~vpn pte) t.mmio_plan;
-  (* The primary role includes write access to the shared input-
-     replication buffer (it performs the user-mode input copies). *)
-  if t.cfg.Config.with_net then begin
-    let page = Layout.page_size in
-    let in_pages = (shared t).Layout.inbuf_words / page in
-    for i = 0 to in_pages - 1 do
-      Kernel.map_page ~quiet:true k
-        ~vpn:((Layout.va_shared_in / page) + i)
-        {
-          Page_table.valid = true;
-          writable = true;
-          dma = false;
-          device = false;
-          ppn = ((shared t).Layout.inbuf_base / page) + i;
-        }
-    done
-  end;
-  t.prim <- new_prim;
-  Machine.route_irqs_to t.mach new_prim;
-  let cc_factor = if t.cfg.Config.mode = Config.CC then 5 else 1 in
-  (Layout.va_pages * p.Arch.pte_scan_cost * cc_factor)
-  + (List.length marked * 2000 * cc_factor)
-  + 30_000
-
-let downgrade t faulty =
-  let r = t.replicas.(faulty) in
-  r.state <- Rs_removed;
-  r.pending_ft <- None;
-  (Kernel.core r.kern).Core.halted <- true;
-  let cost =
-    if faulty = t.prim then
-      let new_prim =
-        List.fold_left min max_int (live t)
-      in
-      promote_new_primary t new_prim
-    else (profile t).Arch.removal_cost
-  in
-  List.iter (fun s -> charge s cost) (live_replicas t);
-  tp_end t r;
-  Metrics.incr t.ms.m_downgrades;
-  Trace.downgrade t.trace ~rid:faulty ~cost;
-  observe_detection t;
-  t.downgrade_log <- (now t, faulty, cost) :: t.downgrade_log;
-  log_event t (E_downgrade faulty)
-
-(* Barrier timeout: halt, or — with the timeout-masking extension (the
-   paper's "shut down the straggler's core") — downgrade a single
-   straggling replica and let the round continue with the survivors.
-   Returns true if the system may continue. *)
-let handle_timeout t ~stragglers =
-  if
-    t.cfg.Config.timeout_masking
-    && List.length (live t) >= 3
-    && List.length stragglers = 1
-  then begin
-    log_event t E_timeout;
-    downgrade t (List.hd stragglers).rid;
-    true
-  end
-  else begin
-    halt_system t H_timeout;
-    false
-  end
-
-(* Publish every live replica's signature into the shared region. *)
-let publish_signatures t =
-  List.iter
-    (fun r ->
-      charge r publish_cost;
-      Vote.publish_signature (mem t) (shared t) ~rid:r.rid
-        (Signature.read (mem t) ~base:(sig_base t r.rid)))
-    (live_replicas t)
-
-(* ---------------------------------------------------------------------- *)
-(* Verified checkpoints and rollback recovery                              *)
-(* ---------------------------------------------------------------------- *)
-
-(* Snapshot copy stall, charged to every live replica for both capture
-   and restore. Cheaper per word than re-integration's partition blit
-   (p_words / 8): checkpoints copy far more state far more often, so
-   they model a wide DMA/bulk-copy engine, plus a fixed quiesce cost. *)
-let ckpt_copy_cost words = (words / 32) + 2_000
-
-(* Charge a capture of [words] copied and [skipped] clean words to
-   [replicas] and account it; returns the stall. *)
-let charge_capture t replicas ~words ~skipped =
-  let cost = ckpt_copy_cost words in
-  List.iter (fun r -> charge r cost) replicas;
-  Metrics.incr t.ms.m_ckpt_taken;
-  Metrics.incr ~by:words t.ms.m_ckpt_words_copied;
-  Metrics.incr ~by:skipped t.ms.m_ckpt_words_skipped;
-  Metrics.observe t.ms.m_ckpt_cost (float_of_int cost);
-  Trace.checkpoint t.trace ~words ~skipped ~cost;
-  cost
-
-let take_checkpoint t ck =
-  let lv = live_replicas t in
-  (* The ring's base must be self-contained, so the first capture is
-     always a full copy; after that the configured mode decides. *)
-  let kind =
-    match t.cfg.Config.checkpoint_mode with
-    | Config.Full -> Checkpoint.Full
-    | Config.Incremental ->
-        if Checkpoint.count ck = 0 then Checkpoint.Full else Checkpoint.Delta
-  in
-  let snap =
-    Checkpoint.capture (mem t) t.lay ~kind ~cycle:(now t)
-      ~round_seq:t.round_seq ~ticks:t.ticks ~prim:t.prim
-      ~replicas:(List.map (fun r -> (r.rid, r.kern, r.finished)) lv)
-  in
-  Checkpoint.push ck snap;
-  (* A fresh verified snapshot is forward progress: reset escalation. *)
-  t.retries_at_newest <- 0;
-  t.escalations <- 0;
-  ignore
-    (charge_capture t lv ~words:(Checkpoint.words snap)
-       ~skipped:(Checkpoint.skipped_words snap))
-
-(* Runs at the end of every successfully voted round (the only verified
-   quiescent points). *)
-let maybe_checkpoint t =
-  match t.ckpts with
-  | None -> ()
-  | Some ck ->
-      if t.halt = None && not (finished t) then begin
-        t.rounds_since_ckpt <- t.rounds_since_ckpt + 1;
-        if t.rounds_since_ckpt >= t.cfg.Config.checkpoint_every then begin
-          t.rounds_since_ckpt <- 0;
-          take_checkpoint t ck
-        end
-      end
-
-(* Rewind the whole system to [snap]: memory, kernels, engine clocks and
-   roles. Wall-clock cycles never rewind — re-execution is *new* time,
-   which is exactly the recovery latency the campaign measures. Returns
-   the restore stall charged to the survivors. *)
-let perform_rollback t ck (snap : Checkpoint.snap) =
-  Array.iter (fun r -> tp_end t r) t.replicas;
-  Checkpoint.restore_memory (mem t) t.lay ck snap;
-  (* Memory now equals the restored snapshot: it is the baseline the
-     next delta capture is relative to. *)
-  if t.cfg.Config.checkpoint_mode = Config.Incremental then
-    Mem.clear_dirty (mem t);
-  List.iter
-    (fun (img : Checkpoint.replica_image) ->
-      let r = t.replicas.(img.Checkpoint.i_rid) in
-      Kernel.restore r.kern img.Checkpoint.i_kernel;
-      r.finished <- img.Checkpoint.i_finished;
-      r.pending_ft <- None;
-      r.joined <- false;
-      r.defer_publish <- false;
-      r.arrived_at <- -1;
-      r.move_started <- -1;
-      (* A replica downgraded *after* the capture comes back: its page
-         table and signature live in the restored partition, and the
-         restored [s_prim] undoes any promotion since. *)
-      r.state <- Rs_run;
-      Machine.clear_ipi t.mach ~core_id:r.rid)
-    snap.Checkpoint.s_replicas;
-  t.prim <- snap.Checkpoint.s_prim;
-  Machine.route_irqs_to t.mach t.prim;
-  t.round_seq <- snap.Checkpoint.s_round_seq;
-  t.ticks <- snap.Checkpoint.s_ticks;
-  t.phase <- Ph_idle;
-  t.next_tick <- now t + t.cfg.Config.tick_interval;
-  (* Restore writes the whole cut back regardless of how it was
-     captured, so the stall scales with the resolved size. *)
-  let cost = ckpt_copy_cost (Checkpoint.total_words snap) in
-  List.iter (fun r -> charge r cost) (live_replicas t);
-  cost
-
-(* Rollback bookkeeping shared by both detection modes: [restore]
-   rewinds the system to the recovery point captured at [to_cycle] and
-   returns the restore stall. *)
-let record_rollback t ~to_cycle restore =
-  t.rollbacks_done <- t.rollbacks_done + 1;
-  observe_detection t;
-  let detected_at = now t in
-  let cost = restore () in
-  Metrics.incr t.ms.m_rollbacks;
-  (* Recovery latency: the re-execution distance plus the restore
-     stall. *)
-  Metrics.observe t.ms.m_recover_latency
-    (float_of_int (detected_at - to_cycle + cost));
-  Trace.rollback t.trace ~to_cycle ~cost;
-  t.rollback_log <- (detected_at, to_cycle) :: t.rollback_log;
-  log_event t (E_rollback to_cycle)
-
-(* Recovery policy: bounded retries with exponential escalation. The
-   newest snapshot gets 2^n retries (n = escalations so far) before it
-   is discarded as suspect — a fault that struck after the vote but
-   before the capture is frozen *inside* it — and recovery falls back
-   to the next older one. An exhausted budget or an empty ring means
-   the fault is persistent: fail-stop as before. Returns true when the
-   system was rolled back and may re-execute. *)
-let try_rollback t =
-  match t.ckpts with
-  | None -> false
-  | Some ck ->
-      if t.rollbacks_done >= t.cfg.Config.max_rollbacks then false
-      else begin
-        if t.retries_at_newest >= 1 lsl t.escalations then begin
-          Checkpoint.drop_newest ck;
-          t.escalations <- t.escalations + 1;
-          t.retries_at_newest <- 0
-        end;
-        match Checkpoint.newest ck with
-        | None -> false
-        | Some snap ->
-            t.retries_at_newest <- t.retries_at_newest + 1;
-            record_rollback t ~to_cycle:snap.Checkpoint.s_cycle (fun () ->
-                perform_rollback t ck snap);
-            true
-      end
-
-(* Roll the replay primary back to the chunk start [cs]: its checkers'
-   restore, except that the wall clock keeps running (re-execution is
-   new time, as after [perform_rollback]) and the cut's own capture
-   stall, already inside [cs]'s kernel image, is not paid again. Write
-   tracking restarts, so the next cut is priced on what re-execution
-   dirties. *)
-let replay_rollback t (cs : cut_state) =
-  record_rollback t ~to_cycle:cs.cs_cycle (fun () ->
-      let r = t.replicas.(0) in
-      tp_end t r;
-      restore_cut t cs;
-      Mem.clear_dirty (mem t);
-      t.next_tick <- now t + t.cfg.Config.tick_interval;
-      let cost =
-        ckpt_copy_cost
-          (Array.length cs.cs_part + Array.length cs.cs_shared
-         + Array.length cs.cs_dma)
-      in
-      charge r (cost - cs.cs_stall);
-      cost)
-
-(* Handle a detected signature mismatch. Returns true if the system may
-   continue (successful downgrade), false if it halted — or if it rolled
-   back, in which case the round being voted on no longer exists and the
-   caller must not complete it. *)
-let handle_mismatch t ~io_in_flight =
-  log_event t E_mismatch;
-  let lv = live t in
-  if t.cfg.Config.masking && List.length lv >= 3 then
-    match Vote.run (mem t) (shared t) ~live:lv with
-    | Vote.No_consensus ->
-        if try_rollback t then false
-        else begin
-          halt_system t H_no_consensus;
-          false
-        end
-    | Vote.Faulty f ->
-        if f = t.prim && io_in_flight then begin
-          if try_rollback t then false
-          else begin
-            halt_system t H_masking_blocked;
-            false
-          end
-        end
-        else begin
-          downgrade t f;
-          if Vote.signatures_agree (mem t) (shared t) ~live:(live t) then true
-          else if try_rollback t then false
-          else begin
-            halt_system t H_mismatch;
-            false
-          end
-        end
-  else if try_rollback t then false
-  else begin
-    halt_system t H_mismatch;
-    false
-  end
-
-(* Vote on signatures; on success run [k]; on mismatch try masking and, if
-   it succeeds, still run [k] for the survivors. *)
-let vote_signatures t ~io_in_flight k =
-  Metrics.incr t.ms.m_votes;
-  List.iter (fun r -> charge r vote_cost) (live_replicas t);
-  publish_signatures t;
-  let ok = Vote.signatures_agree (mem t) (shared t) ~live:(live t) in
-  if Trace.enabled t.trace then
-    List.iter
-      (fun r ->
-        let count, c0, c1 = Signature.read (mem t) ~base:(sig_base t r.rid) in
-        Trace.vote t.trace ~rid:r.rid ~count ~c0 ~c1 ~agree:ok)
-      (live_replicas t);
-  if ok then k () else if handle_mismatch t ~io_in_flight then k ()
-
-(* ---------------------------------------------------------------------- *)
-(* Re-integration (paper Section IV-C, implemented extension)              *)
-(* ---------------------------------------------------------------------- *)
-
-let request_reintegration t ~rid =
-  if rid < 0 || rid >= Array.length t.replicas then Error "no such replica"
-  else if t.replicas.(rid).state <> Rs_removed then
-    Error "replica is not removed"
-  else if t.halt <> None then Error "system halted"
-  else begin
-    t.pending_reintegrate <- Some rid;
-    Ok ()
-  end
-
-let reintegrations t = t.reintegration_log
-
-(* Runs at the end of an asynchronous round, when every live replica is
-   parked at the same logical point: copy a healthy non-primary replica's
-   entire partition into the returning replica's partition, rebase its
-   page-table frame numbers, and adopt the source's kernel bookkeeping
-   and core state. *)
-let perform_reintegration t rid =
-  let dst = t.replicas.(rid) in
-  let src =
-    match List.filter (fun r -> r.rid <> t.prim) (live_replicas t) with
-    | s :: _ -> s
-    | [] -> t.replicas.(t.prim)
-  in
-  let sp = t.lay.Layout.partitions.(src.rid)
-  and dp = t.lay.Layout.partitions.(rid) in
-  Mem.blit (mem t) ~src:sp.Layout.p_base ~dst:dp.Layout.p_base
-    ~len:(min sp.Layout.p_words dp.Layout.p_words);
-  let delta_pages = (dp.Layout.p_base - sp.Layout.p_base) / Layout.page_size in
-  let table = { Page_table.base = dp.Layout.pt_base; npages = Layout.va_pages } in
-  let src_lo = sp.Layout.p_base / Layout.page_size in
-  let src_hi = (sp.Layout.p_base + sp.Layout.p_words) / Layout.page_size in
-  for vpn = 0 to Layout.va_pages - 1 do
-    let pte = Page_table.get (mem t) table ~vpn in
-    if
-      pte.Page_table.valid
-      && (not pte.Page_table.device)
-      && pte.Page_table.ppn >= src_lo
-      && pte.Page_table.ppn < src_hi
-    then
-      Page_table.set (mem t) table ~vpn
-        { pte with Page_table.ppn = pte.Page_table.ppn + delta_pages }
-  done;
-  Kernel.adopt_runtime_from dst.kern ~src:src.kern;
-  dst.finished <- src.finished;
-  dst.pending_ft <- None;
-  dst.joined <- false;
-  dst.defer_publish <- false;
-  dst.state <- Rs_run;
-  (* The copy stalls everyone (a DMA-rate partition copy). *)
-  let cost = dp.Layout.p_words / 8 in
-  List.iter (fun r -> charge r cost) (live_replicas t);
-  Metrics.incr t.ms.m_reintegrations;
-  Trace.reintegrate t.trace ~rid ~cost;
-  t.reintegration_log <- (now t, rid) :: t.reintegration_log;
-  log_event t (E_reintegrate rid)
-
-let maybe_reintegrate t =
-  match t.pending_reintegrate with
-  | Some rid when t.halt = None && t.replicas.(rid).state = Rs_removed ->
-      t.pending_reintegrate <- None;
-      perform_reintegration t rid
-  | Some _ when t.halt <> None -> t.pending_reintegrate <- None
-  | Some _ ->
-      (* Not applicable this round (e.g. the replica was revived by a
-         rollback before the request could run): keep it pending until
-         the replica is removed again or the system halts. *)
-      ()
-  | None -> ()
 
 (* ---------------------------------------------------------------------- *)
 (* Round lifecycle                                                         *)
@@ -1527,122 +333,70 @@ let resume_replica t r =
       vm_charge t r;
       r.state <- Rs_run
 
-let deliver_events t evs =
-  List.iter
-    (fun ev ->
-      match ev with
+(* The preemption tick on replica [r], through the after-save hook (the
+   register fault injector's window) when one is set. *)
+let preempt t r =
+  match t.after_save with
+  | None -> Kernel.preempt r.kern
+  | Some f ->
+      Kernel.preempt
+        ~after_save:(fun ~tid ~ctx_addr -> f ~rid:r.rid ~tid ~ctx_addr)
+        r.kern
+
+let rec deliver_events t = function
+  | [] -> ()
+  | ev :: evs ->
+      (match ev with
       | Tick ->
           t.ticks <- t.ticks + 1;
           Metrics.incr t.ms.m_ticks;
-          let hook = t.after_save in
           List.iter
-            (fun r ->
-              if not r.finished then
-                Kernel.preempt
-                  ?after_save:
-                    (Option.map
-                       (fun f ~tid ~ctx_addr -> f ~rid:r.rid ~tid ~ctx_addr)
-                       hook)
-                  r.kern)
+            (fun r -> if not r.finished then preempt t r)
             (live_replicas t)
       | Dev_irq dpn ->
           List.iter
             (fun r ->
               if not r.finished then ignore (Kernel.wake_irq_waiters r.kern ~dpn))
-            (live_replicas t))
-    evs
+            (live_replicas t));
+      deliver_events t evs
 
-(* Completion of an asynchronous round: all live replicas are at the same
-   logical time. Execute any rendezvoused FT operation, vote, deliver. *)
 let end_round t =
   Trace.round_end t.trace ~seq:t.round_seq;
   t.phase <- Ph_idle;
-  maybe_checkpoint t
+  Recovery.maybe_checkpoint t
 
-let finish_async_round t round =
-  let lv = live_replicas t in
-  let fts = List.map (fun r -> r.pending_ft) lv in
-  let all_none = List.for_all (fun f -> f = None) fts in
-  let all_same =
-    match fts with
-    | [] -> true
-    | f0 :: rest -> List.for_all (fun f -> f = f0) rest
-  in
-  let continue_round () =
-    (match List.find_opt (fun r -> r.pending_ft <> None) lv with
-    | Some { pending_ft = Some (num, args); _ } ->
-        Metrics.incr t.ms.m_ft_rounds;
-        let commit = ft_stage t num args in
-        (* Only reads touch the device *before* the vote (the primary has
-           already distributed device data); writes commit after a
-           successful vote, so a faulty primary can be removed safely. *)
-        let io =
-          (num = Syscall.sys_ft_mem_access && args.(0) = 0)
-          || num = Syscall.sys_ft_mem_rep
-        in
-        vote_signatures t ~io_in_flight:io (fun () ->
-            commit ();
-            deliver_events t round.events;
-            List.iter (fun r -> r.pending_ft <- None) (live_replicas t);
-            maybe_reintegrate t;
-            equalize_stalls t;
-            List.iter (resume_replica t) (live_replicas t);
-            end_round t)
-    | _ ->
-        vote_signatures t ~io_in_flight:false (fun () ->
-            deliver_events t round.events;
-            maybe_reintegrate t;
-            equalize_stalls t;
-            List.iter (resume_replica t) (live_replicas t);
-            end_round t))
-  in
-  if all_none || all_same then continue_round ()
-  else begin
-    (* Divergent pending syscalls: treat as detected divergence. *)
-    publish_signatures t;
-    if handle_mismatch t ~io_in_flight:false then begin
-      List.iter (fun r -> r.pending_ft <- None) (live_replicas t);
-      equalize_stalls t;
-      List.iter (resume_replica t) (live_replicas t);
-      end_round t
-    end
-  end
+let complete_round t ~events ~reintegrate =
+  deliver_events t events;
+  Array.iter (fun r -> r.pending_ft <- None) t.replicas;
+  if reintegrate then Recovery.maybe_reintegrate t;
+  equalize_stalls t;
+  List.iter (resume_replica t) (live_replicas t);
+  end_round t
 
-let finish_rendezvous t =
-  Metrics.incr t.ms.m_rendezvous;
-  let lv = live_replicas t in
-  let fts = List.map (fun r -> r.pending_ft) lv in
-  let all_same =
-    match fts with [] -> true | f0 :: rest -> List.for_all (fun f -> f = f0) rest
-  in
-  let resume () =
-    List.iter (fun r -> r.pending_ft <- None) (live_replicas t);
-    equalize_stalls t;
-    List.iter (resume_replica t) (live_replicas t);
-    end_round t
-  in
-  if all_same then
-    match List.hd fts with
-    | Some (num, args) ->
-        Metrics.incr t.ms.m_ft_rounds;
-        let commit = ft_stage t num args in
-        (* Only reads touch the device *before* the vote (the primary has
-           already distributed device data); writes commit after a
-           successful vote, so a faulty primary can be removed safely. *)
-        let io =
-          (num = Syscall.sys_ft_mem_access && args.(0) = 0)
-          || num = Syscall.sys_ft_mem_rep
-        in
-        vote_signatures t ~io_in_flight:io (fun () ->
-            commit ();
-            resume ())
-    | None ->
-        (* Sync_vote rendezvous: vote only. *)
-        vote_signatures t ~io_in_flight:false resume
-  else begin
-    publish_signatures t;
-    if handle_mismatch t ~io_in_flight:false then resume ()
-  end
+(* Completion of a round: every live replica is parked at the same
+   logical point. Stage the rendezvoused FT operation (if any), vote,
+   and on success commit it, deliver the round's [events], and resume
+   everyone. Divergent pending FT operations are a detected divergence:
+   if masking survives it, the round resumes without its events. Only
+   an asynchronous round may [reintegrate] a removed replica. *)
+let finish_round t ~events ~reintegrate =
+  match List.map (fun r -> r.pending_ft) (live_replicas t) with
+  | ft :: rest when not (List.for_all (fun f -> f = ft) rest) ->
+      Recovery.publish_signatures t;
+      if Recovery.handle_mismatch t ~io_in_flight:false then
+        complete_round t ~events:[] ~reintegrate:false
+  | Some (num, args) :: _ ->
+      Metrics.incr t.ms.m_ft_rounds;
+      let commit = Ft_ops.ft_stage t num args in
+      Recovery.vote_signatures t ~io_in_flight:(Ft_ops.io_in_flight num args)
+        (fun () ->
+          commit ();
+          complete_round t ~events ~reintegrate)
+  | _ ->
+      (* No FT operation: an interrupt round or a Sync_vote rendezvous
+         votes only. *)
+      Recovery.vote_signatures t ~io_in_flight:false (fun () ->
+          complete_round t ~events ~reintegrate)
 
 (* ---------------------------------------------------------------------- *)
 (* Joining and catch-up                                                    *)
@@ -1745,7 +499,6 @@ let start_move t round =
                     {
                       leader_clock;
                       bp_set = false;
-                      overshoot = false;
                       pmu_active = false;
                       pmu_done = false;
                     }
@@ -1810,7 +563,7 @@ let on_syscall t r num =
   (match Kernel.handle_syscall r.kern num with
   | Kernel.Sr_local -> ()
   | Kernel.Sr_ft { num = fnum; args } ->
-      if t.cfg.Config.mode = Config.Base then ft_base t r fnum args
+      if t.cfg.Config.mode = Config.Base then Ft_ops.ft_base t r fnum args
       else r.pending_ft <- Some (fnum, args));
   if Kernel.all_exited r.kern then r.finished <- true;
   post_syscall t r num
@@ -1822,20 +575,16 @@ let on_fault t r fault =
       log_event t (E_user_fault r.rid)
   | Kernel.Fd_kernel_abort a ->
       log_event t (E_kernel_abort r.rid);
-      if t.cfg.Config.exception_barriers then begin
-        (* Caught by the exception-handler barrier: halt this replica in a
-           detectable (fail-stop) way; the others will time out. *)
+      (* Caught by the exception-handler barrier, the replica halts in a
+         detectable (fail-stop) way and the others time out. Without
+         barriers the abort is uncontrolled: it takes the whole system
+         down (mid-round, when replicated). *)
+      let barriers = t.cfg.Config.exception_barriers in
+      if barriers || t.cfg.Config.mode = Config.Base then begin
         r.state <- Rs_halted;
         (Kernel.core r.kern).Core.halted <- true
-      end
-      else if t.cfg.Config.mode = Config.Base then begin
-        r.state <- Rs_halted;
-        (Kernel.core r.kern).Core.halted <- true;
-        halt_system t (H_kernel_exception (Printf.sprintf "phys abort @%d" a))
-      end
-      else
-        (* Replicated without exception barriers: an uncontrolled abort
-           takes the whole system down mid-round. *)
+      end;
+      if not barriers then
         halt_system t (H_kernel_exception (Printf.sprintf "phys abort @%d" a)));
   if Kernel.all_exited r.kern then r.finished <- true;
   if r.state <> Rs_halted then
@@ -1928,14 +677,7 @@ let step_catchup t r cu =
           if cu.pmu_active then begin
             (match Kernel.step r.kern with
             | Core.Ran | Core.Stalled -> ()
-            | Core.Event (Core.Ev_syscall n) ->
-                on_syscall t r n;
-                cu.overshoot <- true
-            | Core.Event (Core.Ev_fault f) -> on_fault t r f
-            | Core.Event Core.Ev_halt ->
-                Kernel.exit_current r.kern;
-                if Kernel.all_exited r.kern then r.finished <- true
-            | Core.Event Core.Ev_breakpoint -> core.Core.bp <- None);
+            | Core.Event ev -> on_event t r ev);
             if adj_branches p core >= leader_adj - 8 then begin
               cu.pmu_active <- false;
               cu.pmu_done <- true;
@@ -1971,21 +713,16 @@ let step_catchup t r cu =
               let here = Clock.capture p ~count:(event_count t r) core in
               if Clock.equal_position here leader then arrive t r
               else begin
-                if Clock.compare here leader > 0 then cu.overshoot <- true;
                 (* Step past the breakpointed address with the resume
                    flag: the bp-fire/single-step pair of Section III-D. *)
                 Metrics.incr t.ms.m_single_steps;
                 Trace.single_step t.trace ~rid:r.rid;
                 core.Core.bp_suppress <- true
               end
-          | Core.Event (Core.Ev_syscall n) ->
-              (* Divergence: more syscalls than the leader. *)
-              on_syscall t r n;
-              cu.overshoot <- true
-          | Core.Event (Core.Ev_fault f) -> on_fault t r f
-          | Core.Event Core.Ev_halt ->
-              Kernel.exit_current r.kern;
-              if Kernel.all_exited r.kern then r.finished <- true
+          | Core.Event ev ->
+              (* A syscall here is divergence: more syscalls than the
+                 leader. *)
+              on_event t r ev
   end
 
 let step_replica t r =
@@ -2003,13 +740,8 @@ let step_replica t r =
       if (Kernel.core r.kern).Core.halted then ()
       (* A hung core answers neither IPIs nor its own work. *)
       else if Machine.ipi_visible t.mach ~core_id:r.rid then on_ipi t r
-      else if r.finished then begin
-        match t.phase with
-        | Ph_async { stage = `Gather; _ } -> join_gather t r
-        | _ -> ()
-      end
-      else if Kernel.current_tid r.kern < 0 then begin
-        (* Idle: all threads blocked. *)
+      else if r.finished || Kernel.current_tid r.kern < 0 then begin
+        (* Finished, or idle with all threads blocked. *)
         match t.phase with
         | Ph_async { stage = `Gather; _ } -> join_gather t r
         | _ -> ()
@@ -2039,11 +771,7 @@ let base_tick t =
     vm_charge t r;
     t.ticks <- t.ticks + 1;
     Metrics.incr t.ms.m_ticks;
-    let hook = t.after_save in
-    Kernel.preempt
-      ?after_save:
-        (Option.map (fun f ~tid ~ctx_addr -> f ~rid:0 ~tid ~ctx_addr) hook)
-      r.kern
+    preempt t r
   end
 
 let advance_phase t =
@@ -2095,7 +823,7 @@ let advance_phase t =
               | `Move, _ -> true)
             (live_replicas t)
         in
-        if handle_timeout t ~stragglers then
+        if Recovery.handle_timeout t ~stragglers then
           round.round_started <- now t (* fresh budget for the survivors *)
       end
       else
@@ -2108,7 +836,7 @@ let advance_phase t =
                   match r.state with
                   | Rs_vote_wait -> arrived_bar t r.rid
                   | _ -> false)
-            then finish_async_round t round)
+            then finish_round t ~events:round.events ~reintegrate:true)
   | Ph_rdv rdv ->
       if now t - rdv.rdv_started > t.cfg.Config.barrier_timeout then begin
         let stragglers =
@@ -2116,14 +844,17 @@ let advance_phase t =
             (fun r -> match r.state with Rs_rendezvous -> false | _ -> true)
             (live_replicas t)
         in
-        if handle_timeout t ~stragglers then rdv.rdv_started <- now t
+        if Recovery.handle_timeout t ~stragglers then rdv.rdv_started <- now t
       end
       else if
         for_all_live t (fun t r ->
             match r.state with
             | Rs_rendezvous -> arrived_bar t r.rid
             | _ -> false)
-      then finish_rendezvous t
+      then begin
+        Metrics.incr t.ms.m_rendezvous;
+        finish_round t ~events:[] ~reintegrate:false
+      end
       (* A replica that exited (or hung) while the others rendezvous is a
          straggler; without timeout masking it is caught by the barrier
          timeout above, not by a vote — the paper's hanging-replica case. *)
@@ -2265,25 +996,3 @@ let burst_cycles t ~budget =
         end
       end)
 
-let replica_state_name t rid =
-  let r = t.replicas.(rid) in
-  let state =
-    match r.state with
-    | Rs_run -> if r.finished then "run(finished)" else "run"
-    | Rs_gather_wait -> "gather"
-    | Rs_chase n -> Printf.sprintf "chase(%d)" n
-    | Rs_catchup _ -> "catchup"
-    | Rs_vote_wait -> "vote-wait"
-    | Rs_rendezvous -> "rendezvous"
-    | Rs_halted -> "halted"
-    | Rs_removed -> "removed"
-  in
-  let phase =
-    match t.phase with
-    | Ph_idle -> "idle"
-    | Ph_async { stage = `Gather; _ } -> "async-gather"
-    | Ph_async { stage = `Move; _ } -> "async-move"
-    | Ph_rdv _ -> "rdv"
-  in
-  Printf.sprintf "%s/%s count=%d" state phase
-    (Signature.event_count (mem t) ~base:(sig_base t rid))

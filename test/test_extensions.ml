@@ -201,6 +201,43 @@ let test_reintegration_request_validation () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "bad rid must be rejected"
 
+let test_rendezvous_does_not_reintegrate () =
+  (* Under Sync_vote every syscall is a rendezvous, and rendezvous come
+     far more often than ticks; a pending re-admission still waits for
+     the next tick round (55 201), not the next rendezvous (51 003). *)
+  let a = Rcoe_isa.Asm.create "rdv" in
+  Rcoe_isa.Asm.label a "main";
+  Rcoe_isa.Asm.for_up a Rcoe_isa.Reg.R4 ~start:0
+    ~stop:(Rcoe_isa.Instr.Imm 50_000) (fun () ->
+      for _ = 1 to 20 do
+        Rcoe_isa.Asm.nop a
+      done;
+      Rcoe_isa.Asm.syscall a Rcoe_kernel.Syscall.sys_ticks);
+  Rcoe_isa.Asm.syscall a Rcoe_kernel.Syscall.sys_exit;
+  let program = Rcoe_isa.Asm.assemble ~entry:"main" a in
+  let sys =
+    System.create
+      ~config:{ (tmr_cfg ()) with Config.sync_level = Config.Sync_vote }
+      ~program
+  in
+  System.run sys ~max_cycles:20_000;
+  Mem.flip_bit (System.machine sys).Machine.mem
+    ~addr:(System.sig_base sys 2 + 1) ~bit:5;
+  System.run sys ~max_cycles:500_000
+    ~stop:(fun s -> System.downgrades s <> []);
+  (match System.downgrades sys with
+  | [ (20_201, 2, _) ] -> ()
+  | _ -> Alcotest.fail "expected replica 2 downgraded at cycle 20201");
+  System.run sys ~max_cycles:(50_400 - System.now sys);
+  (match System.request_reintegration sys ~rid:2 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "request rejected: %s" e);
+  System.run sys ~max_cycles:500_000
+    ~stop:(fun s -> System.reintegrations s <> []);
+  Alcotest.(check (list (pair int int)))
+    "re-admitted at the next tick round" [ (55_201, 2) ]
+    (System.reintegrations sys)
+
 let test_reintegrated_program_completes () =
   (* The re-admitted replica executes to completion alongside the others
      (its adopted state is execution-equivalent). *)
@@ -296,6 +333,8 @@ let suite =
       test_reintegration_restores_tmr;
     Alcotest.test_case "reintegration request validation" `Quick
       test_reintegration_request_validation;
+    Alcotest.test_case "rendezvous do not reintegrate" `Quick
+      test_rendezvous_does_not_reintegrate;
     Alcotest.test_case "reintegrated replica completes" `Slow
       test_reintegrated_program_completes;
     Alcotest.test_case "fast catch-up reduces debug exceptions" `Slow

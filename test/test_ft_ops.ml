@@ -210,6 +210,64 @@ let test_base_ft_ops_direct () =
   let sys, _ = run_driver ~mode:Config.Base ~n:1 in
   Alcotest.(check int) "no rounds" 0 (System.stats sys).System.rounds
 
+let test_kernel_ingress_drop () =
+  (* FT_Mem_Rep's kernel-side ingress check, in the one routine Base and
+     the replicated modes share: a bit flipped in the RX frame after the
+     NIC checksummed it is caught against RX_CSUM, the frame is NACKed,
+     and the driver consumes none of it (it doubles an empty buffer).
+     Base NACKs at once; CC NACKs at the commit after the vote. The
+     pinned cycles include the check's per-word charge. *)
+  let run ~mode ~n =
+    let config =
+      {
+        Config.default with
+        Config.mode;
+        nreplicas = n;
+        with_net = true;
+        ingress_check = true;
+        tick_interval = 20_000;
+        barrier_timeout = 400_000;
+      }
+    in
+    let sys = System.create ~config ~program:(driver_program ()) in
+    let net = Option.get (System.netdev sys) in
+    Netdev.inject net ~now:0 [| 5; 10; 20 |];
+    System.run sys ~max_cycles:5_000_000
+      ~stop:(fun _ -> Netdev.head_rx net <> None);
+    (match Netdev.head_rx net with
+    | Some (off, _) ->
+        let base, _ = Netdev.rx_region_bounds net in
+        Mem.flip_bit (System.machine sys).Machine.mem ~addr:(base + off + 2)
+          ~bit:0
+    | None -> Alcotest.fail "frame never reached the RX ring");
+    System.run sys ~max_cycles:5_000_000;
+    (sys, net)
+  in
+  List.iter
+    (fun (name, mode, n, dropped_at, final_cycle) ->
+      let sys, net = run ~mode ~n in
+      Alcotest.(check bool) (name ^ " finished") true (System.finished sys);
+      Alcotest.(check int) (name ^ " frame NACKed") 1 (Netdev.rx_nacked net);
+      Alcotest.(check (list (pair int int)))
+        (name ^ " drop logged with the frame's id")
+        [ (dropped_at, 10) ]
+        (List.filter_map
+           (fun (c, k) ->
+             match k with System.E_ingress_drop id -> Some (c, id) | _ -> None)
+           (System.events sys));
+      (match Netdev.take_tx net with
+      | [ (_, payload) ] ->
+          Alcotest.(check (array int)) (name ^ " nothing consumed")
+            [| 0; 0; 0 |] payload
+      | other ->
+          Alcotest.failf "%s: expected 1 packet, got %d" name
+            (List.length other));
+      Alcotest.(check int) (name ^ " final cycle") final_cycle (System.now sys))
+    [
+      ("base", Config.Base, 1, 1136, 2532);
+      ("cc-d", Config.CC, 2, 1676, 4148);
+    ]
+
 let suite =
   [
     Alcotest.test_case "FT roundtrip (base)" `Quick test_ft_roundtrip_base;
@@ -223,4 +281,6 @@ let suite =
     Alcotest.test_case "sync level S votes per syscall" `Quick
       test_sync_vote_level_rendezvous_count;
     Alcotest.test_case "base FT ops act directly" `Quick test_base_ft_ops_direct;
+    Alcotest.test_case "kernel ingress check drops a corrupt frame" `Quick
+      test_kernel_ingress_drop;
   ]

@@ -211,6 +211,37 @@ let test_campaign_lc_guest_checksum () =
     (Outcome.to_string Outcome.Ingress_dropped)
     (Outcome.to_string outcome)
 
+let test_campaign_base_drops_at_once () =
+  (* An unreplicated server: the KV guest takes the LC receive path
+     (guest-side checksum against the MMIO RX_CSUM, NACK on the spot),
+     with no vote to wait for. The final cycles are pinned, and Interp
+     and Blocks must agree on them. The kernel-side check Base shares
+     with the replicated modes is pinned in test_ft_ops. *)
+  List.iter
+    (fun (seed, final_cycle) ->
+      List.iter
+        (fun exec_backend ->
+          let outcome, res =
+            Fault_experiments.ingress_trial ~exec_backend ~mode:Config.Base
+              ~n:1 ~ingress_check:true ~fault:true ~seed ()
+          in
+          let label = Printf.sprintf "seed %d, %s" seed
+              (match exec_backend with
+               | Config.Interp -> "interp"
+               | Config.Blocks -> "blocks")
+          in
+          Alcotest.(check string) (label ^ ": controlled ingress drop")
+            (Outcome.to_string Outcome.Ingress_dropped)
+            (Outcome.to_string outcome);
+          Alcotest.(check int) (label ^ ": one frame dropped") 1
+            res.Loadgen.ingress_dropped;
+          Alcotest.(check int) (label ^ ": no corruption escaped") 0
+            res.Loadgen.counters.Ycsb.corrupted;
+          Alcotest.(check int) (label ^ ": final cycle") final_cycle
+            (Rcoe_core.System.now res.Loadgen.sys))
+        [ Config.Interp; Config.Blocks ])
+    [ (1, 397_200); (2, 397_600) ]
+
 let suite =
   [
     Alcotest.test_case "RX_CSUM is the enqueue-time ground truth" `Quick
@@ -227,4 +258,6 @@ let suite =
       test_campaign_on_detects_and_recovers;
     Alcotest.test_case "campaign: LC guest-side checksum" `Slow
       test_campaign_lc_guest_checksum;
+    Alcotest.test_case "campaign: Base drops and NACKs at once" `Slow
+      test_campaign_base_drops_at_once;
   ]
